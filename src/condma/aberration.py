@@ -23,11 +23,15 @@ sign products d_ui d_wi (i <= 4) and the polynomials Q_l(c) defined by
     Q_l(c) = [ (2c - (n-4)) Q_{l-1}(c) - (n-l-2) Q_{l-2}(c) ] / l,
 
 which are always integral.  Both routes agree entry for entry, exactly.
+For regular designs every Gram entry depends on u XOR w alone, so
+`RegularBatchEvaluator` reduces each N**2-term sum to N terms and
+evaluates a whole batch of label tuples at once; searches use it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -45,6 +49,7 @@ __all__ = [
     "agreement_counts",
     "q_value",
     "FastEvaluator",
+    "RegularBatchEvaluator",
     "k_sequence_fast",
 ]
 
@@ -136,19 +141,27 @@ def q_polynomial(l: int, c: int, n: int) -> int:
     return cur
 
 
+@lru_cache(maxsize=64)
 def q_polynomial_table(n: int, lmax: int) -> np.ndarray:
-    """Array Q[l, c] for l = 0..lmax, c = 0..n-4 (int64)."""
+    """Array Q[l, c] for l = 0..lmax, c = 0..n-4 (int64, read-only).
+
+    Cached per (n, lmax): every design with n factors shares one table.
+    """
     m = n - 4
     table = np.empty((lmax + 1, m + 1), dtype=np.int64)
     for c in range(m + 1):
         for l in range(lmax + 1):
             table[l, c] = q_polynomial(l, c, n)
+    table.setflags(write=False)
     return table
 
 
 def agreement_counts(matrix: np.ndarray) -> np.ndarray:
     """c_uw: number of ordinary columns (5..n) where runs u and w agree."""
-    mat = as_design_matrix(matrix)
+    return _agreement_counts(as_design_matrix(matrix))
+
+
+def _agreement_counts(mat: np.ndarray) -> np.ndarray:
     tail = mat[:, 4:].astype(np.int64)
     m = tail.shape[1]
     return (m + tail @ tail.T) // 2
@@ -182,29 +195,45 @@ def q_value(matrix: np.ndarray, s: int, l: int, u: int, w: int) -> int:
     raise ValueError(f"s must be 0, 1 or 2, got {s}")
 
 
+def _role_terms(s1, s2, s3, s4) -> tuple:
+    """Gram coefficients (a0, a1, b1, b2, c2) from the sign products
+    s_i = d_ui d_wi of the four role columns."""
+    return (
+        s2 * s4,
+        s2 + s4,
+        s1 * (1 + s2) + s3 * (1 + s4),
+        s1 * s4 * (1 + s2) + s2 * s3 * (1 + s4),
+        s1 * s3 * (1 + s2) * (1 + s4),
+    )
+
+
+def _class_grams(terms: tuple, qm2, qm1, q0) -> tuple:
+    """Gram matrices of classes (0, l), (1, l) and (2, l) from Q_{l-2..l}."""
+    a0, a1, b1, b2, c2 = terms
+    return a0 * qm2 + a1 * qm1 + q0, b1 * qm1 + b2 * qm2, c2 * qm2
+
+
 class FastEvaluator:
     """Per-design state for the fast route, evaluable one l-block at a time.
 
-    Precomputes the four role-column sign-product matrices and the Q
-    lookup table once; `block(l)` then costs a few N x N integer maps.
-    The lazy shape lets searches stop after a losing prefix.
+    Precomputes the four role-column sign-product matrices and looks up
+    the shared Q table once; `block(l)` then costs a few N x N integer
+    maps.  The lazy shape lets a caller stop after a losing prefix.
+    Searches over regular designs use `RegularBatchEvaluator` instead;
+    this route serves any explicit matrix.
     """
 
     def __init__(self, matrix: np.ndarray):
         mat = as_design_matrix(matrix)
         self.runs, self.n = mat.shape
         cols = mat.astype(np.int64)
-        s1, s2, s3, s4 = (np.outer(cols[:, i], cols[:, i]) for i in range(4))
-        self._a0 = s2 * s4
-        self._a1 = s2 + s4
-        self._b1 = s1 * (1 + s2) + s3 * (1 + s4)
-        self._b2 = s1 * s4 * (1 + s2) + s2 * s3 * (1 + s4)
-        self._c2 = s1 * s3 * (1 + s2) * (1 + s4)
-        self._c = agreement_counts(mat)
+        self._terms = _role_terms(*(np.outer(cols[:, i], cols[:, i]) for i in range(4)))
+        self._c = _agreement_counts(mat)
         self._qtab = q_polynomial_table(self.n, self.n - 2)
         self._gathered: dict[int, np.ndarray] = {}
-        self._q01 = self._a1 + self._gather(1)
-        self._q11 = self._b1
+        _, a1, b1, _, _ = self._terms
+        self._q01 = a1 + self._gather(1)  # Gram matrix of class (0, 1)
+        self._q11 = b1  # Gram matrix of class (1, 1)
 
     def _gather(self, l: int) -> np.ndarray:
         """Q_l evaluated entrywise at the agreement counts (0 for l < 0)."""
@@ -220,24 +249,80 @@ class FastEvaluator:
         """The six sequence entries for one l, in standard order."""
         if not 2 <= l <= self.n - 2:
             raise ValueError(f"l={l} outside 2..{self.n - 2}")
-        qm2, qm1, q0 = self._gather(l - 2), self._gather(l - 1), self._gather(l)
-        q_0l = self._a0 * qm2 + self._a1 * qm1 + q0
-        q_1l = self._b1 * qm1 + self._b2 * qm2
-        q_2l = self._c2 * qm2
-        return (
-            int((self._q01 * q_0l).sum()),
-            int((self._q11 * q_0l).sum()),
-            int((self._q01 * q_1l).sum()),
-            int((self._q11 * q_1l).sum()),
-            int((self._q01 * q_2l).sum()),
-            int((self._q11 * q_2l).sum()),
-        )
+        grams = _class_grams(self._terms, self._gather(l - 2), self._gather(l - 1), self._gather(l))
+        return tuple(int((hg * g).sum()) for g in grams for hg in (self._q01, self._q11))
 
     def sequence(self) -> KSequence:
         values: list[int] = []
         for l in range(2, self.n - 1):
             values.extend(self.block(l))
         return KSequence(self.runs, self.n, tuple(values))
+
+
+class RegularBatchEvaluator:
+    """Fast route for a batch of regular designs with the same r and n.
+
+    In a regular design every Gram matrix entry depends on runs u and w
+    only through v = u XOR w: d_ui d_wi is the character chi_{b_i}(v),
+    and the agreement count c_uw is the number c(v) of ordinary labels b
+    with <v, b> = 0.  Each K entry sum_{u,w} F[u,w] G[u,w] is therefore
+    N * sum_v f(v) g(v), a sum over N terms instead of N**2.  The state
+    is a few (rows, N) int64 arrays; `block(l)` gives every row's six
+    entries, equal to `FastEvaluator(expand(spec)).block(l)`.
+
+    `labels` is a (rows, n) array of admissible label tuples (see
+    `designs.admissible_mask`); `select` narrows the batch to a subset of
+    its rows, which is how a search drops the rows it has cut.
+    """
+
+    def __init__(self, r: int, labels: np.ndarray):
+        labels = np.asarray(labels, dtype=np.int64)
+        self.runs = 1 << r
+        self.rows, self.n = labels.shape
+        v = np.arange(self.runs, dtype=np.int64)
+        # bitwise_count gives uint8: widen before 1 - 2 * parity
+        parities = (np.bitwise_count(v & labels[:, i, None]).astype(np.int64) & 1 for i in range(4))
+        self._terms = _role_terms(*(1 - 2 * p for p in parities))
+        # sum over ordinary labels b of chi_b(v): the Walsh transform of
+        # the batch's indicator rows, so c(v) = (m + that sum) / 2
+        hits = np.zeros((self.rows, self.runs), dtype=np.int64)
+        hits[np.arange(self.rows)[:, None], labels[:, 4:]] = 1
+        self._c = (self.n - 4 + _walsh(hits)) // 2
+        self._qtab = q_polynomial_table(self.n, self.n - 2)
+        _, a1, b1, _, _ = self._terms
+        self._q01 = a1 + self._gather(1)
+        self._q11 = b1
+
+    def _gather(self, l: int) -> np.ndarray:
+        if l < 0:
+            return np.zeros_like(self._c)
+        return self._qtab[l][self._c]
+
+    def select(self, rows: np.ndarray) -> None:
+        """Keep only the given rows (an index or boolean array)."""
+        self._terms = tuple(t[rows] for t in self._terms)
+        self._c, self._q01, self._q11 = self._c[rows], self._q01[rows], self._q11[rows]
+        self.rows = self._c.shape[0]
+
+    def block(self, l: int) -> np.ndarray:
+        """(rows, 6) int64 array: each row's six entries for one l."""
+        if not 2 <= l <= self.n - 2:
+            raise ValueError(f"l={l} outside 2..{self.n - 2}")
+        grams = _class_grams(self._terms, self._gather(l - 2), self._gather(l - 1), self._gather(l))
+        sums = [(hg * g).sum(axis=1) for g in grams for hg in (self._q01, self._q11)]
+        return np.stack(sums, axis=1) * self.runs
+
+
+def _walsh(a: np.ndarray) -> np.ndarray:
+    """Row-wise Walsh-Hadamard transform: out[:, v] = sum_x a[:, x] chi_x(v)."""
+    rows, size = a.shape
+    h = 1
+    while h < size:
+        a = a.reshape(rows, size // (2 * h), 2, h)
+        lo, hi = a[:, :, 0], a[:, :, 1]
+        a = np.stack((lo + hi, lo - hi), axis=2)
+        h *= 2
+    return a.reshape(rows, size)
 
 
 def k_sequence_fast(matrix: np.ndarray) -> KSequence:

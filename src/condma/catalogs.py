@@ -87,10 +87,13 @@ def parse_catalog(path: str | Path) -> CatalogFile:
                 continue
             if header is None:
                 parts = line.split()
-                if len(parts) != 2:
-                    raise FormatError(f"{path}:{lineno}: header must be 'N r'")
-                runs, r = (int(p) for p in parts)
-                if runs != 1 << r:
+                try:
+                    runs, r = (int(p) for p in parts)
+                except ValueError:
+                    raise FormatError(f"{path}:{lineno}: header must be 'N r'") from None
+                # Compare without shifting: a negative r cannot be shifted,
+                # and a huge one would build a huge integer.
+                if runs < 1 or runs & (runs - 1) or runs.bit_length() - 1 != r:
                     raise FormatError(f"{path}:{lineno}: run size {runs} is not 2^{r}")
                 header = (runs, r)
                 continue

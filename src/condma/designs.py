@@ -30,6 +30,7 @@ __all__ = [
     "projection_counts",
     "check_conditions",
     "check_conditions_regular",
+    "admissible_mask",
     "parse_design_text",
     "load_design_file",
 ]
@@ -208,6 +209,51 @@ def check_conditions_regular(spec: RegularSpec) -> ConditionReport:
         failures.append((1, 2, 3, 4))
 
     return ConditionReport(strength2, triples_12, triples_34, quad_1234, tuple(failures))
+
+
+def admissible_mask(r: int, labels: np.ndarray) -> np.ndarray:
+    """Vectorized `RegularSpec` plus `check_conditions_regular(...).ok`.
+
+    `labels` is a (rows, n) integer array of label tuples, roles first.
+    Entry i of the result is True exactly when row i builds a
+    `RegularSpec(r, row)` and that spec passes all four admissibility
+    conditions.  For distinct nonzero labels those conditions reduce to
+    bit tests: the four role labels are independent, and neither b1^b2
+    nor b3^b4 is an ordinary label.
+    """
+    labels = np.asarray(labels, dtype=np.int64)
+    rows, n = labels.shape
+    if n < 5 or not 2 <= r <= MAX_R:
+        return np.zeros(rows, dtype=bool)
+    ok = np.all((labels >= 1) & (labels < 1 << r), axis=1)
+    ordered = np.sort(labels, axis=1)
+    ok &= np.all(ordered[:, 1:] != ordered[:, :-1], axis=1)
+    del ordered  # a full copy of the labels; free it before the elimination
+    ok &= _rank_mask(labels, r)
+    b1, b2, b3, b4 = labels[:, :4].T
+    ok &= (b1 ^ b2 ^ b3 != 0) & (b1 ^ b2 ^ b4 != 0) & (b1 ^ b3 ^ b4 != 0)
+    ok &= (b2 ^ b3 ^ b4 != 0) & (b1 ^ b2 ^ b3 ^ b4 != 0)
+    tail = labels[:, 4:]
+    ok &= ~np.any(tail == (b1 ^ b2)[:, None], axis=1)
+    ok &= ~np.any(tail == (b3 ^ b4)[:, None], axis=1)
+    return ok
+
+
+def _rank_mask(labels: np.ndarray, r: int) -> np.ndarray:
+    """Per row: do the labels' low r bits span GF(2)^r?
+
+    Row-parallel Gaussian elimination, one pivot slot per leading bit.
+    """
+    rows = labels.shape[0]
+    pivots = np.zeros((rows, r), dtype=np.int64)
+    for j in range(labels.shape[1]):
+        v = labels[:, j] & ((1 << r) - 1)
+        for bit in range(r - 1, -1, -1):
+            lead = (v >> bit) & 1 == 1
+            free = lead & (pivots[:, bit] == 0)
+            pivots[free, bit] = v[free]
+            v = np.where(lead, v ^ pivots[:, bit], v)
+    return np.all(pivots != 0, axis=1)
 
 
 def parse_design_text(text: str) -> RegularSpec | np.ndarray:

@@ -30,12 +30,17 @@ def vec_add(a: int, b: int) -> int:
 
 def rank(vectors: Iterable[int]) -> int:
     """Rank of a set of GF(2) vectors, by Gaussian elimination on ints."""
-    pivots: list[int] = []
+    pivots: dict[int, int] = {}  # leading bit position -> pivot vector
     for v in vectors:
-        for p in pivots:
-            v = min(v, v ^ p)
-        if v:
-            pivots.append(v)
+        if v < 0:
+            raise ValueError(f"GF(2) vector {v} is negative")
+        while v:
+            top = v.bit_length()
+            p = pivots.get(top)
+            if p is None:
+                pivots[top] = v
+                break
+            v ^= p
     return len(pivots)
 
 

@@ -8,6 +8,7 @@ import pytest
 from condma.aberration import (
     FastEvaluator,
     KSequence,
+    RegularBatchEvaluator,
     agreement_counts,
     compare_k,
     entry_labels,
@@ -20,7 +21,8 @@ from condma.aberration import (
 )
 from condma.designs import RegularSpec, expand
 from condma.modelmat import build_x_block
-from helpers import random_valid_spec
+from condma.wordcounts import k_from_counts
+from helpers import random_admissible_spec, random_valid_spec
 
 FLAGSHIP = RegularSpec(r=4, columns=(1, 2, 4, 8, 15))
 ROW6 = RegularSpec(r=4, columns=(1, 8, 2, 4, 7, 11))
@@ -96,6 +98,12 @@ class TestQPolynomial:
         # on any remainder; completing the table is the integrality proof
         table = q_polynomial_table(20, 18)
         assert table.dtype == np.int64
+
+    def test_table_is_shared_and_read_only(self):
+        table = q_polynomial_table(9, 7)
+        assert q_polynomial_table(9, 7) is table
+        with pytest.raises(ValueError):
+            table[0, 0] = 5
 
     def test_beyond_position_count_is_zero(self):
         # no l-subsets exist past the number of positions
@@ -184,6 +192,33 @@ class TestRouteAgreement:
         for l in range(2, ROW6.n - 1):
             flat.extend(ev.block(l))
         assert tuple(flat) == ev.sequence().values == k_sequence_fast(mat).values
+
+
+class TestRegularBatch:
+    """The batched route against the per-design fast and word-count routes."""
+
+    # n stays where every K entry fits in int64 (see the 64-run n=50 bound)
+    @pytest.mark.parametrize("r, sizes", [(4, (5, 7, 9, 12)), (5, (6, 10, 16)), (6, (8, 16, 30))])
+    def test_matches_fast_and_counts(self, r, sizes):
+        rng = random.Random(100 + r)
+        for n in sizes:
+            specs = [random_admissible_spec(rng, r, n) for _ in range(4)]
+            ev = RegularBatchEvaluator(r, np.array([spec.columns for spec in specs]))
+            rows = np.concatenate([ev.block(l) for l in range(2, n - 1)], axis=1).tolist()
+            for spec, row in zip(specs, rows):
+                want = k_sequence_fast(expand(spec)).values
+                assert tuple(row) == want
+                assert k_from_counts(spec).values == want
+
+    def test_select_keeps_rows(self):
+        rng = random.Random(7)
+        specs = [random_admissible_spec(rng, 5, 9) for _ in range(6)]
+        ev = RegularBatchEvaluator(5, np.array([spec.columns for spec in specs]))
+        ev.select(np.array([4, 1]))
+        assert ev.rows == 2
+        for l in range(2, 8):
+            got = ev.block(l).tolist()
+            assert got == [list(FastEvaluator(expand(specs[i])).block(l)) for i in (4, 1)]
 
 
 class TestCompare:

@@ -42,7 +42,11 @@ class TestParse:
         "text",
         [
             "16\n5: 1 2 4 8 15\n",  # header not two fields
+            "16 x\n5: 1 2 4 8 15\n",  # non-integer header
             "16 5\n5: 1 2 4 8 15\n",  # runs != 2^r
+            "16 -1\n5: 1 2 4 8 15\n",  # negative r
+            "16 100000000000\n5: 1 2 4 8 15\n",  # huge r
+            "0 0\n5: 1 2 4 8 15\n",  # runs not positive
             "16 4\n1 2 4 8 15\n",  # entry missing the colon
             "16 4\n5: 1 2 4 8\n",  # label count mismatch
             "16 4\n5: 1 2 4 8 8\n",  # repeated label
@@ -62,6 +66,11 @@ class TestParse:
     def test_error_names_the_line(self, tmp_path):
         path = write(tmp_path, "16 4\n5: 1 2 4 8 16\n")
         with pytest.raises(FormatError, match=r"c\.cat:2"):
+            parse_catalog(path)
+
+    def test_header_error_names_the_line(self, tmp_path):
+        path = write(tmp_path, "# catalog\n16 x\n5: 1 2 4 8 15\n")
+        with pytest.raises(FormatError, match=r"c\.cat:2: header must be 'N r'"):
             parse_catalog(path)
 
 

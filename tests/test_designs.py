@@ -1,13 +1,16 @@
 import random
+from itertools import combinations
 
 import numpy as np
 import pytest
 
 from condma import designs
 from condma.designs import (
+    MAX_R,
     DesignError,
     FormatError,
     RegularSpec,
+    admissible_mask,
     check_conditions,
     check_conditions_regular,
     expand,
@@ -16,6 +19,15 @@ from condma.designs import (
     projection_counts,
 )
 from helpers import random_valid_spec
+
+
+def spec_and_conditions(r, labels):
+    """The reference the vectorized mask must equal, one tuple at a time."""
+    try:
+        spec = RegularSpec(r=r, columns=labels)
+    except DesignError:
+        return False
+    return check_conditions_regular(spec).ok
 
 
 class TestRegularSpec:
@@ -115,6 +127,40 @@ class TestConditions:
         for _ in range(60):
             spec = random_valid_spec(rng, 4, rng.randrange(5, 9))
             assert check_conditions_regular(spec) == check_conditions(expand(spec))
+
+
+class TestAdmissibleMask:
+    @pytest.mark.parametrize("r", [4, 5, 6])
+    def test_matches_reference_on_random_tuples(self, r):
+        # out-of-range labels (0, negatives, 2**r), repeats and dependent
+        # roles all occur; every row is also tried with its pairs swapped
+        rng = random.Random(r)
+        rows = []
+        for _ in range(1500):
+            n = rng.randint(4, 10)
+            row = [rng.randrange(1, 1 << r) for _ in range(n)]
+            if rng.random() < 0.2:
+                row[rng.randrange(n)] = rng.choice((0, -1, 1 << r, 1 << (r + 1)))
+            rows.append(tuple(row))
+            rows.append(tuple(row[2:4] + row[:2] + row[4:]))
+        for n in {len(row) for row in rows}:
+            block = [row for row in rows if len(row) == n]
+            got = admissible_mask(r, np.array(block)).tolist()
+            assert got == [spec_and_conditions(r, row) for row in block]
+
+    def test_rank_deficient_tails(self):
+        # 32-run exhaustive candidates: tails missing the fifth basic
+        # factor leave the labels short of rank 5
+        pool = [x for x in range(1, 32) if x not in (1, 2, 4, 8)]
+        raw = [(1, 2, 4, 8) + tail for tail in combinations(pool, 3)]
+        got = admissible_mask(5, np.array(raw)).tolist()
+        want = [spec_and_conditions(5, row) for row in raw]
+        assert got == want
+        assert 0 < sum(want) < len(want)
+
+    def test_unsupported_sizes_reject_everything(self):
+        assert not admissible_mask(4, np.array([[1, 2, 4, 8]])).any()
+        assert not admissible_mask(MAX_R + 1, np.array([[1, 2, 4, 8, 16]])).any()
 
 
 LABELS_TEXT = """\

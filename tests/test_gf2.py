@@ -79,3 +79,19 @@ def test_rank_is_permutation_invariant(seed):
     for _ in range(5):
         rng.shuffle(vectors)
         assert gf2.rank(vectors) == base
+
+
+def test_rank_matches_span_size():
+    rng = random.Random(11)
+    for _ in range(300):
+        r = rng.randint(1, 6)
+        vectors = [rng.randrange(1 << r) for _ in range(rng.randint(0, 9))]
+        span = {0}
+        for v in vectors:
+            span |= {v ^ w for w in span}
+        assert len(span) == 1 << gf2.rank(vectors)
+
+
+def test_rank_rejects_negative_vectors():
+    with pytest.raises(ValueError):
+        gf2.rank([1, -3])

@@ -3,6 +3,7 @@ from itertools import combinations, permutations
 
 import pytest
 
+from condma import search
 from condma.aberration import compare_k, k_sequence_fast
 from condma.designs import DesignError, RegularSpec, check_conditions_regular, expand
 from condma.modelmat import optimality_check
@@ -88,6 +89,23 @@ class TestEnumeration:
             swap = (b3, b4, b1, b2) + spec.columns[4:]
             assert spec.columns in kept or swap in kept
 
+    @pytest.mark.parametrize(
+        "task",
+        [
+            SearchTask(runs=16, n=5),
+            SearchTask(runs=16, n=12),
+            SearchTask(runs=32, n=6, force=True),
+            SearchTask(runs=16, n=9, mode="catalog"),
+            SearchTask(runs=16, n=9, mode="catalog", symmetry_pruning=False),
+            SearchTask(runs=32, n=8, mode="catalog"),
+        ],
+    )
+    def test_raw_count_matches_stream(self, task):
+        count, stream = search._raw_candidates(task)
+        assert count == sum(1 for _ in stream)
+        res = search_ma(task)
+        assert res.candidates_examined + res.pruned == count
+
 
 class TestSearch16:
     def test_n5_benchmark(self):
@@ -122,6 +140,20 @@ class TestSearch16:
         assert res.candidates_examined + res.pruned == 11
 
 
+@pytest.fixture
+def pool_starts(monkeypatch):
+    """Worker counts of the process pools a search starts."""
+    started = []
+
+    class RecordingPool(search.ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            started.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(search, "ProcessPoolExecutor", RecordingPool)
+    return started
+
+
 class TestDeterminism:
     @pytest.mark.parametrize("n", [6, 9])
     def test_worker_counts_agree(self, n):
@@ -134,6 +166,36 @@ class TestDeterminism:
             assert other.minimizers == head.minimizers
             assert other.candidates_examined == head.candidates_examined
             assert other.pruned == head.pruned
+
+    def test_pool_results_match_in_process(self, monkeypatch, pool_starts):
+        # 462 raw candidates in chunks of 40: enough full chunks for the
+        # pool to start at both worker counts
+        monkeypatch.setattr(search, "_CHUNK", 40)
+        head = search_ma(SearchTask(runs=16, n=9))
+        assert pool_starts == []
+        for w in (2, 4):
+            other = search_ma(SearchTask(runs=16, n=9, workers=w))
+            assert pool_starts[-1] == w
+            assert other.best_k == head.best_k
+            assert other.minimizers == head.minimizers
+            assert other.candidates_examined == head.candidates_examined
+            assert other.pruned == head.pruned
+
+    @pytest.mark.parametrize("chunk, pooled", [(20000, False), (116, False), (115, True)])
+    def test_pool_needs_two_full_chunks_per_worker(self, monkeypatch, pool_starts, chunk, pooled):
+        # 462 raw candidates: chunks of 116 make three full ones, of 115 four
+        monkeypatch.setattr(search, "_CHUNK", chunk)
+        search_ma(SearchTask(runs=16, n=9, workers=2))
+        assert pool_starts == ([2] if pooled else [])
+
+    def test_one_row_sub_batches_match(self, monkeypatch):
+        tasks = (SearchTask(runs=16, n=8), SearchTask(runs=32, n=6, mode="catalog"))
+        default = [search_ma(task) for task in tasks]
+        monkeypatch.setattr(search, "_BATCH_ELEMENTS", 1)
+        for task, want in zip(tasks, default):
+            got = search_ma(task)
+            assert (got.best_k, got.minimizers) == (want.best_k, want.minimizers)
+            assert (got.candidates_examined, got.pruned) == (want.candidates_examined, want.pruned)
 
     def test_repeat_runs_identical(self):
         a = search_ma(SearchTask(runs=16, n=7))
@@ -249,3 +311,12 @@ class TestWithinColumns:
     def test_rejects_duplicates(self):
         with pytest.raises(DesignError):
             search_within_columns(16, (1, 2, 4, 8, 8))
+
+    def test_out_of_range_label_rejects_every_assignment(self):
+        for label in (0, 16, 1 << 70):
+            res = search_within_columns(16, (1, 2, 4, 8, label))
+            assert not res.found
+            assert (res.candidates_examined, res.pruned) == (0, 60)
+        res = search_within_columns(32, (1, 2, 4, 8, 16, 40, 50))
+        assert not res.found
+        assert (res.candidates_examined, res.pruned) == (0, 420)
