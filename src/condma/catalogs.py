@@ -43,6 +43,7 @@ explains (32-run n=11, 12 and 13) carry no erratum.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from importlib import resources
 from pathlib import Path
 
@@ -127,8 +128,13 @@ def parse_catalog(path: str | Path) -> CatalogFile:
 _BUNDLED = {16: "n16.cat", 32: "n32.cat"}
 
 
+@cache
 def bundled_catalog(runs: int) -> CatalogFile:
-    """Load the catalog shipped with the package for 16 or 32 runs."""
+    """Load the catalog shipped with the package for 16 or 32 runs.
+
+    Parsed once per process and shared: a `CatalogFile` is frozen and
+    holds only tuples.
+    """
     try:
         name = _BUNDLED[runs]
     except KeyError:

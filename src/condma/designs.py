@@ -114,12 +114,6 @@ def projection_counts(matrix: np.ndarray, columns: tuple[int, ...]) -> dict[tupl
     return counts
 
 
-def _equifrequent(matrix: np.ndarray, columns: tuple[int, ...]) -> bool:
-    counts = projection_counts(matrix, columns)
-    want = matrix.shape[0] // (1 << len(columns))
-    return all(c == want for c in counts.values())
-
-
 @dataclass(frozen=True)
 class ConditionReport:
     """Outcome of the four admissibility conditions.
@@ -143,35 +137,47 @@ class ConditionReport:
 
 
 def check_conditions(matrix: np.ndarray) -> ConditionReport:
-    """Check the admissibility conditions on an explicit run matrix."""
-    mat = as_design_matrix(matrix)
+    """Check the admissibility conditions on an explicit run matrix.
+
+    A projection onto columns S is equifrequent exactly when, for every
+    nonempty T in S, the product of the columns in T sums to 0 over the
+    runs (the counts are then flat by Fourier inversion; when the run
+    count is not divisible by 2**|S| no flat count exists and some sum is
+    nonzero).  The sums are exact int64 dot products.
+    """
+    mat = as_design_matrix(matrix).astype(np.int64)
     n = mat.shape[1]
-    failures: list[tuple[int, ...]] = []
+    sums = mat.sum(axis=0)
+    gram = mat.T @ mat
+    a, b = np.triu_indices(n, 1)
+    pairs = (gram[a, b] == 0) & (sums[a] == 0) & (sums[b] == 0)
+    with12 = np.array([4, *range(5, n + 1)])
+    with34 = np.array([2, *range(5, n + 1)])
+    ok12 = _balanced_with(mat, (1, 2), with12)
+    ok34 = _balanced_with(mat, (3, 4), with34)
+    quad_1234 = bool(_balanced_with(mat, (1, 2, 3), np.array([4]))[0])
 
-    strength2 = True
-    for a in range(1, n + 1):
-        for b in range(a + 1, n + 1):
-            if not _equifrequent(mat, (a, b)):
-                strength2 = False
-                failures.append((a, b))
-
-    triples_12 = True
-    for j in (4, *range(5, n + 1)):
-        if not _equifrequent(mat, (1, 2, j)):
-            triples_12 = False
-            failures.append((1, 2, j))
-
-    triples_34 = True
-    for j in (2, *range(5, n + 1)):
-        if not _equifrequent(mat, (3, 4, j)):
-            triples_34 = False
-            failures.append((3, 4, j))
-
-    quad_1234 = _equifrequent(mat, (1, 2, 3, 4))
+    failures = [(int(i) + 1, int(j) + 1) for i, j in zip(a[~pairs], b[~pairs])]
+    failures += [(1, 2, int(j)) for j in with12[~ok12]]
+    failures += [(3, 4, int(j)) for j in with34[~ok34]]
     if not quad_1234:
         failures.append((1, 2, 3, 4))
+    return ConditionReport(
+        bool(pairs.all()), bool(ok12.all()), bool(ok34.all()), quad_1234, tuple(failures)
+    )
 
-    return ConditionReport(strength2, triples_12, triples_34, quad_1234, tuple(failures))
+
+def _balanced_with(mat: np.ndarray, fixed: tuple[int, ...], others: np.ndarray) -> np.ndarray:
+    """Per 1-based column j in `others`: is the projection on fixed + (j,)
+    equifrequent?  One product vector per subset of the fixed columns,
+    then one matrix product against the other columns.
+    """
+    products = np.ones((1 << len(fixed), mat.shape[0]), dtype=np.int64)
+    for i, c in enumerate(fixed):
+        half = 1 << i
+        products[half : 2 * half] = products[:half] * mat[:, c - 1]
+    fixed_ok = not products[1:].sum(axis=1).any()
+    return fixed_ok & ~(products @ mat[:, others - 1]).any(axis=0)
 
 
 def check_conditions_regular(spec: RegularSpec) -> ConditionReport:

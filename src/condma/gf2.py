@@ -2,12 +2,19 @@
 
 A length-r binary vector is stored as a Python int in [0, 2**r), bit i
 holding coordinate i+1.  Addition is XOR.
+
+Subset-sum counts (how many k-subsets of a pool XOR to a given vector)
+all come from one exact dynamic program, `subset_sum_layers`: each pool
+element is one vectorized step over a (sizes x 2**r) count table.
+`subset_sum_table` is its single-pool case, `subset_sum_count` one row.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
+import math
 from typing import Iterable, Sequence
+
+import numpy as np
 
 __all__ = [
     "vec_add",
@@ -16,11 +23,8 @@ __all__ = [
     "is_independent",
     "subset_sum_count",
     "subset_sum_table",
+    "subset_sum_layers",
 ]
-
-# Pools larger than this are counted by a meet-in-the-middle split instead
-# of direct subset enumeration.
-_ENUMERATION_LIMIT = 20
 
 
 def vec_add(a: int, b: int) -> int:
@@ -66,63 +70,49 @@ def subset_sum_count(pool: Sequence[int], targets: Iterable[int], size: int) -> 
     """
     if size < 0 or size > len(pool):
         return 0
-    target_set = set(targets)
-    if size == 0:
-        return 1 if 0 in target_set else 0
-    if len(pool) <= _ENUMERATION_LIMIT:
-        total = 0
-        for combo in combinations(pool, size):
-            acc = 0
-            for v in combo:
-                acc ^= v
-            if acc in target_set:
-                total += 1
-        return total
-    return _subset_sum_mitm(pool, target_set, size)
+    row = subset_sum_table(pool, max(pool, default=0).bit_length(), size)[size]
+    return sum(int(row[t]) for t in set(targets) if 0 <= t < len(row))
 
 
-def _xor_profiles(pool: Sequence[int], max_size: int) -> list[dict[int, int]]:
-    """profiles[k][v] = number of k-subsets of `pool` with XOR v."""
-    profiles: list[dict[int, int]] = [{0: 1}] + [dict() for _ in range(max_size)]
-    for x in pool:
-        for k in range(min(max_size, len(profiles) - 1), 0, -1):
-            for v, c in profiles[k - 1].items():
-                profiles[k][v ^ x] = profiles[k].get(v ^ x, 0) + c
-    return profiles
+def subset_sum_table(pool: Sequence[int], r: int, max_size: int | None = None) -> np.ndarray:
+    """table[k, v] = number of k-subsets of `pool` with XOR v, for v < 2**r.
 
-
-def _subset_sum_mitm(pool: Sequence[int], targets: set[int], size: int) -> int:
-    """Meet-in-the-middle count for large pools."""
-    half = len(pool) // 2
-    left = _xor_profiles(pool[:half], min(size, half))
-    right = _xor_profiles(pool[half:], min(size, len(pool) - half))
-    total = 0
-    for a in range(max(0, size - (len(pool) - half)), min(size, half) + 1):
-        b = size - a
-        if b >= len(right):
-            continue
-        small, large = (left[a], right[b]) if len(left[a]) <= len(right[b]) else (right[b], left[a])
-        for v, c in small.items():
-            for t in targets:
-                total += c * large.get(v ^ t, 0)
-    return total
-
-
-def subset_sum_table(pool: Sequence[int], r: int) -> list[list[int]]:
-    """table[k][v] = number of k-subsets of `pool` with XOR v, for v < 2**r.
-
-    Bulk companion to `subset_sum_count`; O(len(pool)**2 * 2**r).
+    Rows run over k = 0..top, where top is `max_size` capped at the pool
+    size (the whole pool when None).  Entries are exact: int64 while the
+    largest possible count fits, Python ints (dtype object) beyond.
+    Costs O(len(pool) * top * 2**r).
     """
-    m = len(pool)
+    return subset_sum_layers(pool, (), r, max_size)[0]
+
+
+def subset_sum_layers(
+    pool: Sequence[int], extras: Sequence[int], r: int, max_size: int | None = None
+) -> np.ndarray:
+    """Subset-sum tables of `pool` plus each subset of `extras`.
+
+    layers[s] is the `subset_sum_table` of `pool` plus extras[i] for every
+    bit i set in s, with rows up to the size of the largest of these
+    pools (or `max_size`).  Each extra costs one step per layer it joins,
+    so the pools share the steps over `pool`.
+    """
+    m = len(pool) + len(extras)
+    top = m if max_size is None else max(0, min(max_size, m))
     width = 1 << r
-    table = [[0] * width for _ in range(m + 1)]
-    table[0][0] = 1
+    if not all(0 <= x < width for x in (*pool, *extras)):
+        raise ValueError(f"pool elements must be vectors of GF(2)^{r}")
+    # the largest count any row can hold is C(m, k) for k <= top
+    dtype = np.int64 if math.comb(m, min(top, m // 2)) < 1 << 63 else object
+    layers = np.zeros((1 << len(extras), top + 1, width), dtype=dtype)
+    layers[0, 0, 0] = 1
+    index = np.arange(width)
+    table = layers[0]
     for i, x in enumerate(pool):
-        for k in range(min(i + 1, m), 0, -1):
-            prev = table[k - 1]
-            row = table[k]
-            for v in range(width):
-                c = prev[v]
-                if c:
-                    row[v ^ x] += c
-    return table
+        k = min(i + 1, top)
+        # the gathered right-hand side is a copy, so the step reads the
+        # counts from before x joined
+        table[1 : k + 1] += table[:k, index ^ x]
+    for i, x in enumerate(extras):
+        low, high = layers[: 1 << i], layers[1 << i : 2 << i]
+        high[...] = low
+        high[:, 1:] += low[:, :-1][..., index ^ x]
+    return layers

@@ -21,11 +21,18 @@ targets (+ denotes XOR):
 with A2 = A21 + A22 and A3 = A31 + A32.  Size-0 counts follow the
 `gf2.subset_sum_count` convention: 1 exactly when 0 is a target (so A1,
 A31 and A32 start at 1); sizes past the pool are 0.
+
+The families use only four pools: the tail b5..bn with b2, b4, both or
+neither added.  `a_counts` builds their subset-sum tables together
+(`gf2.subset_sum_layers`) and reads every family, size and target from
+them at once, so each count is exact at any size.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 from . import gf2
 from .aberration import KSequence
@@ -74,13 +81,9 @@ class CountVectors:
         return getattr(self, name)
 
 
-def _at(vec: tuple[int, ...], l: int) -> int:
-    return vec[l] if 0 <= l < len(vec) else 0
-
-
-def _pools_targets(spec: RegularSpec) -> dict[str, tuple[list[int], list[int]]]:
-    b1, b2, b3, b4 = spec.columns[:4]
-    tail = list(spec.columns[4:])
+def _pools_targets(columns: tuple[int, ...]) -> dict[str, tuple[list[int], list[int]]]:
+    b1, b2, b3, b4 = columns[:4]
+    tail = list(columns[4:])
     return {
         "a1": ([b2, b4, *tail], [0]),
         "a21": ([b4, *tail], [b1, b1 ^ b2]),
@@ -98,13 +101,37 @@ def _pools_targets(spec: RegularSpec) -> dict[str, tuple[list[int], list[int]]]:
     }
 
 
+def _family_counts(spec: RegularSpec) -> dict[str, list[int]]:
+    """Each family's counts at sizes -1..n-1, size l at index l + 1.
+
+    Sizes outside a family's pool count 0, so the K formulas index these
+    lists without bounds checks.
+    """
+    cols = spec.columns
+    layers = gf2.subset_sum_layers(cols[4:], (cols[1], cols[3]), spec.r)
+    layer_of: list[int] = []
+    target_of: list[int] = []
+    starts: list[int] = []
+    families = _pools_targets(cols)
+    for pool, targets in families.values():
+        targets = set(targets)
+        starts.append(len(target_of))
+        layer_of += [(cols[1] in pool) | (cols[3] in pool) << 1] * len(targets)
+        target_of += targets
+    rows = layers[layer_of, :, target_of]
+    # Distinct targets count disjoint subsets, so a family's sum stays
+    # within its row's total and is exact in the table's dtype.
+    sums = np.add.reduceat(rows, starts).tolist()
+    return {name: [0, *row, 0] for name, row in zip(families, sums)}
+
+
 def a_counts(spec: RegularSpec) -> CountVectors:
     """All count families of a spec, each for l = 0..pool size."""
-    vectors: dict[str, tuple[int, ...]] = {}
-    for name, (pool, targets) in _pools_targets(spec).items():
-        vectors[name] = tuple(
-            gf2.subset_sum_count(pool, targets, l) for l in range(len(pool) + 1)
-        )
+    counts = _family_counts(spec)
+    vectors = {
+        name: tuple(counts[name][1 : len(pool) + 2])
+        for name, (pool, _) in _pools_targets(spec.columns).items()
+    }
     return CountVectors(spec.n, **vectors)
 
 
@@ -123,19 +150,21 @@ def k_from_counts(spec: RegularSpec) -> KSequence:
       K_2l(0) = 2 A7[l-2] + (n-l-1) A7[l-3] + (l-1) A7[l-1]
       K_2l(1) = 2 A8[l-2]
     """
-    counts = a_counts(spec)
+    c = _family_counts(spec)
     n = spec.n
-    a1, a2, a3 = counts.a1, counts.a2, counts.a3
-    a42, a43, a52, a7, a8 = counts.a42, counts.a43, counts.a52, counts.a7, counts.a8
+    a1, a42, a43, a52, a7, a8 = c["a1"], c["a42"], c["a43"], c["a52"], c["a7"], c["a8"]
+    a2 = [x + y for x, y in zip(c["a21"], c["a22"])]
+    a3 = [x + y for x, y in zip(c["a31"], c["a32"])]
     nsq = spec.runs * spec.runs
     values: list[int] = []
     for l in range(2, n - 1):
-        values.append((l + 1) * _at(a1, l + 1) + (n - l - 1) * _at(a1, l - 1))
-        values.append(_at(a2, l - 1) + _at(a2, l))
-        values.append((n - l - 1) * _at(a2, l - 2) + _at(a2, l - 1) + l * _at(a2, l))
-        values.append(2 * _at(a3, l - 1) + 2 * (_at(a42, l - 1) + _at(a43, l - 2) + _at(a52, l - 1)))
-        values.append(2 * _at(a7, l - 2) + (n - l - 1) * _at(a7, l - 3) + (l - 1) * _at(a7, l - 1))
-        values.append(2 * _at(a8, l - 2))
+        i = l + 1  # index of size l
+        values.append((l + 1) * a1[i + 1] + (n - l - 1) * a1[i - 1])
+        values.append(a2[i - 1] + a2[i])
+        values.append((n - l - 1) * a2[i - 2] + a2[i - 1] + l * a2[i])
+        values.append(2 * a3[i - 1] + 2 * (a42[i - 1] + a43[i - 2] + a52[i - 1]))
+        values.append(2 * a7[i - 2] + (n - l - 1) * a7[i - 3] + (l - 1) * a7[i - 1])
+        values.append(2 * a8[i - 2])
     return KSequence(spec.runs, n, tuple(v * nsq for v in values))
 
 
@@ -146,14 +175,9 @@ def a_reduced_sequence(spec: RegularSpec) -> tuple[int, int, int, int, int]:
     the K-sequence order on the leading entries; it is a cheap pre-filter,
     never the final criterion.
     """
-    counts = a_counts(spec)
-    return (
-        _at(counts.a1, 3),
-        _at(counts.a2, 2),
-        _at(counts.a7, 1),
-        _at(counts.a1, 4),
-        _at(counts.a2, 3),
-    )
+    c = _family_counts(spec)  # size l at index l + 1
+    a2 = [x + y for x, y in zip(c["a21"], c["a22"])]
+    return (c["a1"][4], a2[3], c["a7"][2], c["a1"][5], a2[4])
 
 
 @dataclass(frozen=True)
@@ -190,7 +214,7 @@ def complement_counts(spec: RegularSpec) -> ComplementCounts:
     tilde = sorted(everything - {b2, b4, *spec.columns[4:]})
     t12 = sorted(set(tilde) - {b1, b1 ^ b2})
     t34 = sorted(set(tilde) - {b3, b3 ^ b4})
-    t_full = sorted(everything - set(spec.columns[4:]))
+    t_full = everything - set(spec.columns[4:])
     targets7 = [b1 ^ b3, b1 ^ b2 ^ b3, b1 ^ b3 ^ b4, b1 ^ b2 ^ b3 ^ b4]
     return ComplementCounts(
         r=spec.r,
@@ -199,12 +223,10 @@ def complement_counts(spec: RegularSpec) -> ComplementCounts:
         a4_tilde=gf2.subset_sum_count(tilde, [0], 4),
         a2_12=gf2.subset_sum_count(t12, [b1, b1 ^ b2], 2),
         a2_34=gf2.subset_sum_count(t34, [b3, b3 ^ b4], 2),
-        h1=tuple(gf2.subset_sum_count(t_full, [t], 1) for t in targets7),
+        h1=tuple(int(t in t_full) for t in targets7),
     )
 
 
 def full_wordlength(spec: RegularSpec) -> tuple[int, ...]:
     """Classic wordlength pattern (A_3..A_n) over the whole column set."""
-    return tuple(
-        gf2.subset_sum_count(spec.columns, [0], l) for l in range(3, spec.n + 1)
-    )
+    return tuple(gf2.subset_sum_table(spec.columns, spec.r)[3:, 0].tolist())

@@ -99,6 +99,10 @@ class TestBundled:
         with pytest.raises(FormatError):
             bundled_catalog(8)
 
+    def test_parsed_once_and_shared(self):
+        assert bundled_catalog(32) is bundled_catalog(32)
+        assert bundled_catalog(16) is not bundled_catalog(32)
+
 
 class TestCompleteness:
     """The 16-run catalog must list each equivalence class exactly once."""

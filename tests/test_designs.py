@@ -7,6 +7,7 @@ import pytest
 from condma import designs
 from condma.designs import (
     MAX_R,
+    ConditionReport,
     DesignError,
     FormatError,
     RegularSpec,
@@ -127,6 +128,52 @@ class TestConditions:
         for _ in range(60):
             spec = random_valid_spec(rng, 4, rng.randrange(5, 9))
             assert check_conditions_regular(spec) == check_conditions(expand(spec))
+
+    def test_matches_projection_count_definition(self):
+        # perturbed regular matrices: flipped signs, swapped and repeated
+        # columns, single flipped entries
+        rng = random.Random(29)
+        for _ in range(60):
+            mat = expand(random_valid_spec(rng, rng.choice((4, 5)), rng.randrange(5, 10)))
+            n = mat.shape[1]
+            i, j = rng.sample(range(n), 2)
+            kind = rng.randrange(4)
+            if kind == 0:
+                mat[:, i] *= -1
+            elif kind == 1:
+                mat[:, [i, j]] = mat[:, [j, i]]
+            elif kind == 2:
+                mat[:, j] = mat[:, i]
+            else:
+                mat[rng.randrange(mat.shape[0]), i] *= -1
+            assert check_conditions(mat) == conditions_by_projection_counts(mat)
+
+    def test_plackett_burman_12_passes_strength_two_only(self):
+        # 12 runs: every pair is balanced, but 12 runs cannot cover the 8
+        # sign triples equally
+        gen = [1, 1, -1, 1, 1, 1, -1, -1, -1, 1, -1]
+        mat = np.array([gen[-k:] + gen[:-k] for k in range(11)] + [[-1] * 11], dtype=np.int8)
+        report = check_conditions(mat)
+        assert report == conditions_by_projection_counts(mat)
+        assert report.strength2
+        assert not (report.triples_12 or report.triples_34 or report.quad_1234)
+
+
+def conditions_by_projection_counts(mat):
+    """The admissibility conditions straight from their definition: every
+    sign combination of a projection appears equally often."""
+
+    def flat(columns):
+        counts = projection_counts(mat, columns)
+        return len(set(counts.values())) == 1
+
+    n = mat.shape[1]
+    pairs = list(combinations(range(1, n + 1), 2))
+    t12 = [(1, 2, j) for j in (4, *range(5, n + 1))]
+    t34 = [(3, 4, j) for j in (2, *range(5, n + 1))]
+    groups = [pairs, t12, t34, [(1, 2, 3, 4)]]
+    bad = [[c for c in group if not flat(c)] for group in groups]
+    return ConditionReport(*(not b for b in bad), tuple(c for b in bad for c in b))
 
 
 class TestAdmissibleMask:

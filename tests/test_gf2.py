@@ -1,6 +1,8 @@
+import math
 import random
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from condma import gf2
@@ -69,6 +71,70 @@ def test_subset_sum_table():
     for k in range(len(pool) + 1):
         for v in range(16):
             assert table[k][v] == gf2.subset_sum_count(pool, [v], k)
+
+
+def brute_table(pool, r, top):
+    """table[k][v] by enumerating every subset of at most `top` elements."""
+    table = [[0] * (1 << r) for _ in range(top + 1)]
+    for k in range(top + 1):
+        for combo in combinations(pool, k):
+            acc = 0
+            for v in combo:
+                acc ^= v
+            table[k][acc] += 1
+    return table
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_table_matches_enumeration(seed):
+    # repeated labels (and 0) count as separate slots
+    rng = random.Random(seed)
+    r = rng.randint(1, 5)
+    pool = [rng.randrange(1 << r) for _ in range(rng.randint(0, 12))]
+    for max_size in (None, 0, 1, 3, len(pool) + 2):
+        top = len(pool) if max_size is None else min(max_size, len(pool))
+        table = gf2.subset_sum_table(pool, r, max_size)
+        assert table.shape == (top + 1, 1 << r)
+        assert table.tolist() == brute_table(pool, r, top)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_layers_extend_the_pool(seed):
+    rng = random.Random(seed)
+    r = rng.randint(1, 5)
+    pool = [rng.randrange(1 << r) for _ in range(rng.randint(0, 9))]
+    extras = [rng.randrange(1 << r) for _ in range(rng.randint(0, 3))]
+    layers = gf2.subset_sum_layers(pool, extras, r)
+    rows = len(pool) + len(extras) + 1
+    assert layers.shape == (1 << len(extras), rows, 1 << r)
+    for s in range(1 << len(extras)):
+        grown = pool + [x for i, x in enumerate(extras) if s >> i & 1]
+        want = brute_table(grown, r, len(grown))
+        want += [[0] * (1 << r)] * (rows - len(want))
+        assert layers[s].tolist() == want
+
+
+def test_object_rows_are_exact_binomials():
+    rng = random.Random(5)
+    pool = [rng.randrange(1, 128) for _ in range(70)]
+    table = gf2.subset_sum_table(pool, 7)
+    assert table.dtype == object  # C(70, 35) > 2**63
+    for k, row in enumerate(table.tolist()):
+        assert sum(row) == math.comb(70, k)
+    # a short table of the same pool still fits int64
+    assert gf2.subset_sum_table(pool, 7, 4).dtype == np.int64
+    # the dtype follows the largest pool, not the shared one
+    assert gf2.subset_sum_table(pool[:66], 7).dtype == np.int64
+    assert gf2.subset_sum_layers(pool[:66], pool[66:67], 7).dtype == object
+
+
+def test_table_rejects_vectors_outside_the_space():
+    with pytest.raises(ValueError):
+        gf2.subset_sum_table([1, 16], 4)
+    with pytest.raises(ValueError):
+        gf2.subset_sum_table([1, -2], 4)
+    with pytest.raises(ValueError):
+        gf2.subset_sum_layers([1], [16], 4)
 
 
 @pytest.mark.parametrize("seed", range(4))

@@ -3,9 +3,10 @@ from itertools import combinations
 
 import pytest
 
-from condma.aberration import k_sequence_direct
+from condma.aberration import k_sequence_direct, k_sequence_fast
 from condma.designs import RegularSpec, check_conditions_regular, expand
 from condma.wordcounts import (
+    _pools_targets,
     a_counts,
     a_reduced_sequence,
     complement_counts,
@@ -16,6 +17,20 @@ from helpers import random_admissible_spec
 
 FLAGSHIP = RegularSpec(r=4, columns=(1, 2, 4, 8, 15))
 ROW6 = RegularSpec(r=4, columns=(1, 8, 2, 4, 7, 11))
+
+
+def brute_counts(pool, targets):
+    """Subsets of each size l = 0..len(pool) whose XOR lies in `targets`."""
+    counts = []
+    for l in range(len(pool) + 1):
+        hits = 0
+        for combo in combinations(pool, l):
+            acc = 0
+            for v in combo:
+                acc ^= v
+            hits += acc in set(targets)
+        counts.append(hits)
+    return tuple(counts)
 
 
 class TestCountFamilies:
@@ -53,21 +68,19 @@ class TestCountFamilies:
     def test_oracle_agreement_randomized(self):
         # independent re-count: enumerate subsets directly per family
         rng = random.Random(67)
-        from condma.wordcounts import _pools_targets
-
         for _ in range(10):
             spec = random_admissible_spec(rng, 4, 7)
             c = a_counts(spec)
-            for name, (pool, targets) in _pools_targets(spec).items():
-                vec = c.family(name)
-                for l in range(len(pool) + 1):
-                    brute = 0
-                    for combo in combinations(pool, l):
-                        acc = 0
-                        for v in combo:
-                            acc ^= v
-                        brute += acc in set(targets)
-                    assert vec[l] == brute, (name, l, spec.columns)
+            for name, (pool, targets) in _pools_targets(spec.columns).items():
+                assert c.family(name) == brute_counts(pool, targets), (name, spec.columns)
+
+    def test_coinciding_targets_count_once(self):
+        # dependent roles (b3 = b1^b2) make targets of one family coincide;
+        # a target set counts each subset once
+        spec = RegularSpec(r=4, columns=(1, 2, 3, 8, 4, 7, 13))
+        c = a_counts(spec)
+        for name, (pool, targets) in _pools_targets(spec.columns).items():
+            assert c.family(name) == brute_counts(pool, targets), name
 
 
 class TestSplitIdentity:
@@ -98,6 +111,19 @@ class TestKFromCounts:
         for _ in range(30):
             spec = random_admissible_spec(rng, 4, rng.randrange(5, 9))
             assert k_from_counts(spec) == k_sequence_direct(expand(spec))
+
+    def test_past_int64_agrees_with_fast_route_modulo_2_64(self):
+        # 128 runs, n=70: the object-dtype tables carry entries past 2**63,
+        # which the fast route's int64 sums keep only modulo 2**64
+        rest = [x for x in range(5, 128) if x not in (8, 12, 16, 32, 64)]
+        spec = RegularSpec(r=7, columns=(1, 2, 4, 8, 16, 32, 64, *rest[:63]))
+        assert check_conditions_regular(spec).ok
+        exact = k_from_counts(spec).values
+        fast = k_sequence_fast(expand(spec)).values
+        assert max(exact) >= 2**63
+        assert len(exact) == len(fast)
+        for e, f in zip(exact, fast):
+            assert (e - f) % 2**64 == 0
 
     def test_orthogonal_design_all_zero(self):
         spec = RegularSpec(r=5, columns=(1, 2, 4, 8, 16))
