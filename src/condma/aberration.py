@@ -23,9 +23,29 @@ sign products d_ui d_wi (i <= 4) and the polynomials Q_l(c) defined by
     Q_l(c) = [ (2c - (n-4)) Q_{l-1}(c) - (n-l-2) Q_{l-2}(c) ] / l,
 
 which are always integral.  Both routes agree entry for entry, exactly.
-For regular designs every Gram entry depends on u XOR w alone, so
-`RegularBatchEvaluator` reduces each N**2-term sum to N terms and
-evaluates a whole batch of label tuples at once; searches use it.
+
+Searches use `RegularBatchEvaluator`, which evaluates a batch of regular
+designs by the identity (values stored as N**2 * K, as everywhere here)
+
+    N**2 K_sl(h) = N * sum_{p,c} H[p,c] G_h1(p,c) G_sl(p,c,l),
+
+where H[p,c] counts the runs v whose four role characters chi_{b_i}(v)
+have sign pattern p and whose agreement count c(v) (ordinary labels b
+with <v, b> = 0) is c.  The argument:
+
+1. In a regular design d_ui d_wi = chi_{b_i}(u XOR w), and runs u, w
+   agree on ordinary column j exactly when <u XOR w, b_j> = 0.
+2. So every Gram entry G(u, w) is a function of v = u XOR w only, and
+   through (p(v), c(v)) only; for each v exactly N pairs (u, w) give it.
+3. Hence sum_{u,w} G_h1 G_sl = N sum_v G_h1(v) G_sl(v), and grouping the
+   N runs v by (p, c) gives the histogram form.
+
+The weights W_l[(p,c), entry] = N G_h1 G_sl depend only on (r, n) and
+are built once in Python ints.  The sum is exact in the arithmetic picked
+by the static bound N max|W_l| (every partial sum of H @ W_l is at most
+that, as H >= 0 sums to N): float64 below 2**53, where every partial sum
+is an integer a double holds exactly; int64 below 2**63; Python ints
+(object arrays) beyond.
 """
 
 from __future__ import annotations
@@ -112,9 +132,10 @@ def k_sequence_direct(matrix: np.ndarray) -> KSequence:
     xh = [build_x_block(mat, h, 1).T for h in (0, 1)]
     values: list[int] = []
     for l in range(2, n - 1):
+        blocks = [build_x_block(mat, s, l) for s in (0, 1, 2)]
         for s, h in _BLOCK_ORDER:
-            gram = xh[h] @ build_x_block(mat, s, l)
-            values.append(int((gram.astype(np.int64) ** 2).sum()))
+            gram = xh[h] @ blocks[s]
+            values.append(int((gram**2).sum()))
     return KSequence(mat.shape[0], n, tuple(values))
 
 
@@ -262,13 +283,11 @@ class FastEvaluator:
 class RegularBatchEvaluator:
     """Fast route for a batch of regular designs with the same r and n.
 
-    In a regular design every Gram matrix entry depends on runs u and w
-    only through v = u XOR w: d_ui d_wi is the character chi_{b_i}(v),
-    and the agreement count c_uw is the number c(v) of ordinary labels b
-    with <v, b> = 0.  Each K entry sum_{u,w} F[u,w] G[u,w] is therefore
-    N * sum_v f(v) g(v), a sum over N terms instead of N**2.  The state
-    is a few (rows, N) int64 arrays; `block(l)` gives every row's six
-    entries, equal to `FastEvaluator(expand(spec)).block(l)`.
+    Each row's K entries are `H @ W_l` (see the module docstring): H is
+    the row's (pattern, agreement count) histogram over the N runs v, and
+    W_l the shared weights of `_block_weights(r, n)`.  The state is the
+    (rows, 16 (n-3)) histogram; `block(l)` gives every row's six entries,
+    equal to `FastEvaluator(expand(spec)).block(l)`.
 
     `labels` is a (rows, n) array of admissible label tuples (see
     `designs.admissible_mask`); `select` narrows the batch to a subset of
@@ -279,50 +298,60 @@ class RegularBatchEvaluator:
         labels = np.asarray(labels, dtype=np.int64)
         self.runs = 1 << r
         self.rows, self.n = labels.shape
+        self._w = _block_weights(r, self.n)
+        width = 16 * (self.n - 3)
         v = np.arange(self.runs, dtype=np.int64)
-        # bitwise_count gives uint8: widen before 1 - 2 * parity
-        parities = (np.bitwise_count(v & labels[:, i, None]).astype(np.int64) & 1 for i in range(4))
-        self._terms = _role_terms(*(1 - 2 * p for p in parities))
-        # sum over ordinary labels b of chi_b(v): the Walsh transform of
-        # the batch's indicator rows, so c(v) = (m + that sum) / 2
-        hits = np.zeros((self.rows, self.runs), dtype=np.int64)
-        hits[np.arange(self.rows)[:, None], labels[:, 4:]] = 1
-        self._c = (self.n - 4 + _walsh(hits)) // 2
-        self._qtab = q_polynomial_table(self.n, self.n - 2)
-        _, a1, b1, _, _ = self._terms
-        self._q01 = a1 + self._gather(1)
-        self._q11 = b1
-
-    def _gather(self, l: int) -> np.ndarray:
-        if l < 0:
-            return np.zeros_like(self._c)
-        return self._qtab[l][self._c]
+        odd = np.bitwise_count(labels[:, :, None] & v) & 1  # (rows, n, N) uint8
+        # key = p (n-3) + c with p = sum_i odd_i 2**i over the roles and
+        # c = (n-4) - (odd tail labels): one coefficient per column
+        coef = np.array([(self.n - 3) << i for i in range(4)] + [-1] * (self.n - 4))
+        key = (self.n - 4) + coef @ odd + width * np.arange(self.rows)[:, None]
+        hist = np.bincount(key.ravel(), minlength=self.rows * width)
+        self._h = hist.reshape(self.rows, width).astype(self._w.dtype)
 
     def select(self, rows: np.ndarray) -> None:
         """Keep only the given rows (an index or boolean array)."""
-        self._terms = tuple(t[rows] for t in self._terms)
-        self._c, self._q01, self._q11 = self._c[rows], self._q01[rows], self._q11[rows]
-        self.rows = self._c.shape[0]
+        self._h = self._h[rows]
+        self.rows = self._h.shape[0]
 
     def block(self, l: int) -> np.ndarray:
-        """(rows, 6) int64 array: each row's six entries for one l."""
+        """(rows, 6) array of each row's six entries for one l: int64, or
+        Python ints (object) where `_block_weights` needs them."""
         if not 2 <= l <= self.n - 2:
             raise ValueError(f"l={l} outside 2..{self.n - 2}")
-        grams = _class_grams(self._terms, self._gather(l - 2), self._gather(l - 1), self._gather(l))
-        sums = [(hg * g).sum(axis=1) for g in grams for hg in (self._q01, self._q11)]
-        return np.stack(sums, axis=1) * self.runs
+        out = self._h @ self._w[l - 2]
+        return out.astype(np.int64) if out.dtype == np.float64 else out
 
 
-def _walsh(a: np.ndarray) -> np.ndarray:
-    """Row-wise Walsh-Hadamard transform: out[:, v] = sum_x a[:, x] chi_x(v)."""
-    rows, size = a.shape
-    h = 1
-    while h < size:
-        a = a.reshape(rows, size // (2 * h), 2, h)
-        lo, hi = a[:, :, 0], a[:, :, 1]
-        a = np.stack((lo + hi, lo - hi), axis=2)
-        h *= 2
-    return a.reshape(rows, size)
+@lru_cache(maxsize=64)
+def _block_weights(r: int, n: int) -> np.ndarray:
+    """W_l for l = 2..n-2, stacked: a read-only (n-3, 16 (n-3), 6) array.
+
+    Row p (n-3) + c of W_l holds N G_h1 G_sl for role-sign pattern p (bit
+    i set when role column i+1 is -1) and agreement count c, one column
+    per sequence entry of the block.  Built in Python ints, then stored by
+    the static bound N max|W|: float64 below 2**53, int64 below 2**63,
+    Python ints (object) beyond.
+    """
+    runs, m = 1 << r, n - 4
+    p = np.arange(16)[:, None]
+    terms = _role_terms(*((1 - 2 * ((p >> i) & 1)).astype(object) for i in range(4)))
+    q = np.array(
+        [[q_polynomial(l, c, n) for c in range(m + 1)] for l in range(n - 1)], dtype=object
+    )
+    q01, q11 = terms[1] + q[1], terms[2]
+    w = np.empty((n - 3, 16, m + 1, 6), dtype=object)
+    for l in range(2, n - 1):
+        grams = _class_grams(terms, q[l - 2], q[l - 1], q[l])
+        w[l - 2] = runs * np.stack([hg * g for g in grams for hg in (q01, q11)], axis=-1)
+    w = w.reshape(n - 3, 16 * (m + 1), 6)
+    bound = runs * max(abs(x) for x in w.flat)
+    if bound < 1 << 53:
+        w = w.astype(np.float64)
+    elif bound < 1 << 63:
+        w = w.astype(np.int64)
+    w.setflags(write=False)
+    return w
 
 
 def k_sequence_fast(matrix: np.ndarray) -> KSequence:

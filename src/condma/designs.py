@@ -31,6 +31,7 @@ __all__ = [
     "check_conditions",
     "check_conditions_regular",
     "admissible_mask",
+    "regular_specs",
     "parse_design_text",
     "load_design_file",
 ]
@@ -231,11 +232,7 @@ def admissible_mask(r: int, labels: np.ndarray) -> np.ndarray:
     rows, n = labels.shape
     if n < 5 or not 2 <= r <= MAX_R:
         return np.zeros(rows, dtype=bool)
-    ok = np.all((labels >= 1) & (labels < 1 << r), axis=1)
-    ordered = np.sort(labels, axis=1)
-    ok &= np.all(ordered[:, 1:] != ordered[:, :-1], axis=1)
-    del ordered  # a full copy of the labels; free it before the elimination
-    ok &= _rank_mask(labels, r)
+    ok = _valid_rows(r, labels)
     b1, b2, b3, b4 = labels[:, :4].T
     ok &= (b1 ^ b2 ^ b3 != 0) & (b1 ^ b2 ^ b4 != 0) & (b1 ^ b3 ^ b4 != 0)
     ok &= (b2 ^ b3 ^ b4 != 0) & (b1 ^ b2 ^ b3 ^ b4 != 0)
@@ -243,6 +240,43 @@ def admissible_mask(r: int, labels: np.ndarray) -> np.ndarray:
     ok &= ~np.any(tail == (b1 ^ b2)[:, None], axis=1)
     ok &= ~np.any(tail == (b3 ^ b4)[:, None], axis=1)
     return ok
+
+
+def _valid_rows(r: int, labels: np.ndarray) -> np.ndarray:
+    """Per row of an int64 (rows, n) label array: does `RegularSpec(r, row)`
+    accept it?  Labels in [1, 2**r), distinct, spanning GF(2)^r.  The
+    caller checks r and n."""
+    ok = np.all((labels >= 1) & (labels < 1 << r), axis=1)
+    ordered = np.sort(labels, axis=1)
+    ok &= np.all(ordered[:, 1:] != ordered[:, :-1], axis=1)
+    del ordered  # a full copy of the labels; free it before the elimination
+    return ok & _rank_mask(labels, r)
+
+
+def regular_specs(r: int, labels: np.ndarray) -> tuple[RegularSpec, ...]:
+    """One `RegularSpec` per row of a (rows, n) label array, in row order.
+
+    Every row is validated at once by the checks `RegularSpec` makes; the
+    first row it would reject raises that row's `DesignError`.  The specs
+    are then built without validating each again.
+    """
+    labels = np.asarray(labels, dtype=np.int64)
+    rows, n = labels.shape
+    if rows == 0:
+        return ()
+    sized = n >= 5 and 2 <= r <= MAX_R
+    ok = _valid_rows(r, labels) if sized else np.zeros(rows, dtype=bool)
+    if not ok.all():
+        # the first row RegularSpec rejects, to raise its own error
+        RegularSpec(r, tuple(labels[np.argmin(ok)].tolist()))
+    specs = []
+    for start in range(0, rows, 2048):  # bounds the Python lists held at once
+        for columns in labels[start : start + 2048].tolist():
+            spec = object.__new__(RegularSpec)
+            object.__setattr__(spec, "r", r)
+            object.__setattr__(spec, "columns", tuple(columns))
+            specs.append(spec)
+    return tuple(specs)
 
 
 def _rank_mask(labels: np.ndarray, r: int) -> np.ndarray:

@@ -96,10 +96,18 @@ def build_x_column(matrix: np.ndarray, bits: tuple[int, ...]) -> np.ndarray:
 
 
 def build_x_block(matrix: np.ndarray, s: int, l: int) -> np.ndarray:
-    """N x |class| matrix of X columns for class (s, l)."""
+    """N x |class| matrix of X columns for class (s, l) (int64).
+
+    Column j is `build_x_column` of member j: its entry in run u is -1 to
+    the number of the member's columns that are -1 in run u, so the whole
+    block is one parity product of the 0/1 minus-sign matrix with the 0/1
+    member matrix.
+    """
     mat = as_design_matrix(matrix)
-    members = omega_members(mat.shape[1], s, l)
-    return np.column_stack([build_x_column(mat, b) for b in members])
+    n = mat.shape[1]
+    members = np.array(omega_members(n, s, l), dtype=np.int64).reshape(-1, n)
+    minus = (mat < 0).astype(np.int64)
+    return 1 - 2 * ((minus @ members.T) & 1)
 
 
 def build_z_block(matrix: np.ndarray, s: int, l: int) -> np.ndarray:

@@ -15,10 +15,22 @@ Two modes:
   conditional/conditioning pairs are generated once (K is invariant
   under the swap).
 
+The search carries candidates as (rows, n) int64 label arrays, roles
+first, never as one Python tuple each.  Catalog mode sorts each design's
+columns and gathers them through one cached index table of role
+assignments per (n, symmetry_pruning) (`_role_index`); with sorted
+columns the pair-swap rule and the sorted tail read the same on
+positions as on labels.  Exhaustive mode packs `itertools.combinations`
+tails behind the fixed roles.  Either way a chunk holds about `_CHUNK` rows, and a design with
+more assignments than that is split across slices of the index table.
+The chunk-level ties stay arrays up to the end, where `_canonical_specs`
+sorts and dedupes them with `np.lexsort` and `designs.regular_specs`
+validates them all at once.
+
 Candidates are compared by exact lexicographic order on the integer
-K-sequence.  The raw candidates are split into chunks.  Each chunk goes
-through a vectorized admissibility filter (`designs.admissible_mask`),
-then its admissible candidates are evaluated in sub-batches by
+K-sequence.  Each chunk goes through a vectorized admissibility filter
+(`designs.admissible_mask`), then its admissible candidates are
+evaluated in sub-batches by
 `aberration.RegularBatchEvaluator`, one l-block at a time for the whole
 sub-batch.  Pruning is batch-wise: after each block only the rows equal
 to the sub-batch's lexicographic minimum go on, and the sub-batch is
@@ -39,19 +51,28 @@ import math
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .aberration import KSequence, RegularBatchEvaluator
 from .catalogs import CatalogFile, bundled_catalog, parse_catalog
-from .designs import DesignError, RegularSpec, admissible_mask, check_conditions_regular
+from .designs import (
+    DesignError,
+    RegularSpec,
+    admissible_mask,
+    check_conditions_regular,
+    regular_specs,
+)
 
 _ROLES = (1, 2, 4, 8)
 _CHUNK = 20000
 # Working-set bound of an evaluation sub-batch in `_evaluate_chunk`.  A
-# sub-batch holds a few dozen (rows, runs) int64 arrays; sizing it by
-# elements keeps it near 2 MiB at every run size.
+# sub-batch builds a (rows, n, runs) parity array and a (rows, runs) key
+# before its (rows, 16 (n-3)) histogram; sizing it by rows x runs keeps
+# that small at every run size, and keeps each H @ W_l product below the
+# size at which BLAS starts threads (it did at 1 << 15 on 2 vCPUs).
 _BATCH_ELEMENTS = 1 << 13
 # A search starts a process pool only when its raw candidates fill at
 # least this many chunks per worker.  On a 2-vCPU machine at two workers,
@@ -152,21 +173,51 @@ def _role_assignments(
         yield roles + tuple(tail)
 
 
-def _raw_candidates(task: SearchTask) -> tuple[int, Iterator[tuple[int, ...]]]:
+@lru_cache(maxsize=16)
+def _role_index(n: int, symmetry_pruning: bool) -> np.ndarray:
+    """`_role_assignments(range(n), ...)` as a read-only (assignments, n)
+    array of column positions, in the smallest dtype that holds them: the
+    table stays cached, and as intp it held 2.8 MB at n=16."""
+    flat = itertools.chain.from_iterable(_role_assignments(range(n), symmetry_pruning))
+    count = _assignment_count(n, symmetry_pruning) * n
+    index = np.fromiter(flat, dtype=np.min_scalar_type(n), count=count).reshape(-1, n)
+    index.setflags(write=False)
+    return index
+
+
+def _assignment_chunks(designs: np.ndarray, symmetry_pruning: bool) -> Iterator[np.ndarray]:
+    """Every role assignment of every row of a (designs, n) array of sorted
+    column sets, in label arrays of at most `_CHUNK` rows: whole designs
+    grouped, or one design split across slices of the index table."""
+    index = _role_index(designs.shape[1], symmetry_pruning)
+    per = max(1, _CHUNK // max(1, len(index)))
+    for start in range(0, len(designs), per):
+        group = designs[start : start + per]
+        for lo in range(0, len(index), _CHUNK):
+            yield group[:, index[lo : lo + _CHUNK]].reshape(-1, designs.shape[1])
+
+
+def _raw_candidates(task: SearchTask) -> tuple[int, Iterator[np.ndarray]]:
     """The number of candidate label tuples before the admissibility
-    filter, and a stream of them."""
+    filter, and a stream of (rows, n) int64 chunks holding them."""
     if task.mode == "exhaustive":
         pool = [x for x in range(1, 1 << task.r) if x not in _ROLES]
-        tails = itertools.combinations(pool, task.n - 4)
-        return math.comb(len(pool), task.n - 4), (_ROLES + tail for tail in tails)
+        return math.comb(len(pool), task.n - 4), _exhaustive_chunks(pool, task.n)
     designs = _catalog_for(task).designs_for(task.n)
     count = len(designs) * _assignment_count(task.n, task.symmetry_pruning)
-    stream = (
-        labels
-        for columns in designs
-        for labels in _role_assignments(columns, task.symmetry_pruning)
-    )
-    return count, stream
+    columns = np.sort(np.array(designs, dtype=np.int64).reshape(-1, task.n), axis=1)
+    return count, _assignment_chunks(columns, task.symmetry_pruning)
+
+
+def _exhaustive_chunks(pool: list[int], n: int) -> Iterator[np.ndarray]:
+    """`_ROLES` followed by each (n-4)-subset of `pool`, in chunks."""
+    tails = itertools.combinations(pool, n - 4)
+    while True:
+        flat = itertools.chain.from_iterable(itertools.islice(tails, _CHUNK))
+        tail = np.fromiter(flat, dtype=np.int64).reshape(-1, n - 4)
+        if not len(tail):
+            return
+        yield np.hstack([np.broadcast_to(np.array(_ROLES), (len(tail), 4)), tail])
 
 
 def enumerate_candidates(task: SearchTask) -> Iterator[RegularSpec]:
@@ -176,20 +227,21 @@ def enumerate_candidates(task: SearchTask) -> Iterator[RegularSpec]:
     rank (always true at 16 runs); catalog mode streams only role
     assignments passing the admissibility conditions.
     """
-    for labels in _raw_candidates(task)[1]:
-        try:
-            spec = RegularSpec(r=task.r, columns=labels)
-        except DesignError:
-            continue
-        if task.mode == "catalog" and not check_conditions_regular(spec).ok:
-            continue
-        yield spec
+    for chunk in _raw_candidates(task)[1]:
+        for labels in chunk.tolist():
+            try:
+                spec = RegularSpec(r=task.r, columns=labels)
+            except DesignError:
+                continue
+            if task.mode == "catalog" and not check_conditions_regular(spec).ok:
+                continue
+            yield spec
 
 
 def _evaluate_chunk(
-    args: tuple[int, list[tuple[int, ...]]],
-) -> tuple[tuple[int, ...] | None, list[tuple[int, ...]], int, int]:
-    """Evaluate one chunk of raw candidates.
+    args: tuple[int, np.ndarray],
+) -> tuple[tuple[int, ...] | None, np.ndarray, int, int]:
+    """Evaluate one (rows, n) chunk of raw candidate labels.
 
     Returns (best K values or None, labels of chunk-level K-minima,
     examined count, pruned count).  The chunk keeps every candidate tied
@@ -197,14 +249,11 @@ def _evaluate_chunk(
     The admissible candidates are evaluated in sub-batches of at most
     `_BATCH_ELEMENTS` run-by-candidate entries.
     """
-    r, chunk = args
-    n = len(chunk[0])
-    flat = itertools.chain.from_iterable(chunk)
-    labels = np.fromiter(flat, dtype=np.int64, count=len(chunk) * n).reshape(len(chunk), n)
+    r, labels = args
     admissible = np.flatnonzero(admissible_mask(r, labels))
     step = max(1, _BATCH_ELEMENTS >> r)
     best: tuple[int, ...] | None = None
-    ties: list[tuple[int, ...]] = []
+    ties: list[np.ndarray] = []
     for start in range(0, len(admissible), step):
         rows = admissible[start : start + step]
         got = _batch_minimum(r, labels[rows], best)
@@ -213,8 +262,9 @@ def _evaluate_chunk(
         values, winners = got
         if best is None or values < best:
             best, ties = values, []
-        ties.extend(chunk[i] for i in rows[winners])
-    return best, ties, len(admissible), len(chunk) - len(admissible)
+        ties.append(labels[rows[winners]])
+    tied = np.concatenate(ties) if ties else labels[:0]
+    return best, tied, len(admissible), len(labels) - len(admissible)
 
 
 def _batch_minimum(
@@ -254,32 +304,34 @@ def _batch_minimum(
     return tuple(values), alive
 
 
-def _canonical_specs(designs: Iterable[tuple[int, tuple[int, ...]]]) -> tuple[RegularSpec, ...]:
-    """Canonical form of (r, labels) pairs: sort each tuple's traditional
-    columns, dedupe, sort by labels, and build one spec per distinct tuple.
-    """
-    distinct = {(r, t[:4] + tuple(sorted(t[4:]))) for r, t in designs}
-    return tuple(RegularSpec(r=r, columns=t) for r, t in sorted(distinct, key=lambda d: d[1]))
+def _canonical_specs(r: int, labels: np.ndarray) -> tuple[RegularSpec, ...]:
+    """Canonical form of a (rows, n) label array: sort each row's
+    traditional columns, sort the rows, drop repeats, one spec per row."""
+    labels = np.concatenate([labels[:, :4], np.sort(labels[:, 4:], axis=1)], axis=1)
+    labels = labels[np.lexsort(labels.T[::-1])]
+    fresh = np.ones(len(labels), dtype=bool)
+    fresh[1:] = np.any(labels[1:] != labels[:-1], axis=1)
+    return regular_specs(r, labels[fresh])
 
 
 def canonicalize(minimizers: Iterable[RegularSpec]) -> tuple[RegularSpec, ...]:
-    """Sort each spec's traditional columns, then sort and dedupe the list."""
-    return _canonical_specs((spec.r, spec.columns) for spec in minimizers)
+    """Sort each spec's traditional columns, then sort and dedupe the list.
 
-
-def _chunked(stream: Iterator[tuple[int, ...]], size: int) -> Iterator[list[tuple[int, ...]]]:
-    while True:
-        block = list(itertools.islice(stream, size))
-        if not block:
-            return
-        yield block
+    The specs must share r and n.
+    """
+    specs = list(minimizers)
+    if not specs:
+        return ()
+    if len({(spec.r, spec.n) for spec in specs}) > 1:
+        raise DesignError("cannot canonicalize specs of different r or n together")
+    return _canonical_specs(specs[0].r, np.array([spec.columns for spec in specs]))
 
 
 def _merge(
-    results: Iterable[tuple[tuple[int, ...] | None, list[tuple[int, ...]], int, int]],
-) -> tuple[tuple[int, ...] | None, list[tuple[int, ...]], int, int]:
+    results: Iterable[tuple[tuple[int, ...] | None, np.ndarray, int, int]],
+) -> tuple[tuple[int, ...] | None, np.ndarray | None, int, int]:
     best: tuple[int, ...] | None = None
-    ties: list[tuple[int, ...]] = []
+    ties: list[np.ndarray] = []
     examined = 0
     pruned = 0
     for cb, ct, ce, cp in results:
@@ -289,15 +341,15 @@ def _merge(
             continue
         if best is None or cb < best:
             best = cb
-            ties = list(ct)
+            ties = [ct]
         elif cb == best:
-            ties.extend(ct)
-    return best, ties, examined, pruned
+            ties.append(ct)
+    return best, np.concatenate(ties) if ties else None, examined, pruned
 
 
 def _run_chunks(
-    chunks: Iterator[list[tuple[int, ...]]], r: int, workers: int
-) -> tuple[tuple[int, ...] | None, list[tuple[int, ...]], int, int]:
+    chunks: Iterator[np.ndarray], r: int, workers: int
+) -> tuple[tuple[int, ...] | None, np.ndarray | None, int, int]:
     """Evaluate and merge every chunk, in a pool of `workers` processes
     when there is more than one."""
     if workers == 1:
@@ -316,10 +368,10 @@ def _run_chunks(
 
 
 def _search(
-    runs: int, n: int, raw: int, stream: Iterator[tuple[int, ...]], workers: int
+    runs: int, n: int, raw: int, chunks: Iterator[np.ndarray], workers: int
 ) -> SearchResult:
-    """Run `raw` candidates from a stream through the chunks and assemble
-    the result.
+    """Run `raw` candidates, given as label chunks, through the evaluation
+    and assemble the result.
 
     The pool starts only when `raw` fills at least `_POOL_CHUNKS` chunks
     per worker; a smaller search runs in-process.
@@ -328,13 +380,13 @@ def _search(
     if raw < _POOL_CHUNKS * workers * _CHUNK:
         workers = 1
     t0 = time.perf_counter()
-    best, ties, examined, pruned = _run_chunks(_chunked(stream, _CHUNK), r, workers)
+    best, ties, examined, pruned = _run_chunks(chunks, r, workers)
     wall = time.perf_counter() - t0
     if best is None:
         return SearchResult(None, (), examined, pruned, wall)
     return SearchResult(
         best_k=KSequence(runs=runs, n=n, values=best),
-        minimizers=_canonical_specs((r, t) for t in ties),
+        minimizers=_canonical_specs(r, ties),
         candidates_examined=examined,
         pruned=pruned,
         wall_time=wall,
@@ -366,5 +418,5 @@ def search_within_columns(runs: int, columns: Sequence[int], workers: int = 1) -
         # Every assignment uses every column, so a label outside the label
         # space rejects them all (and may not fit the filter's int64).
         return SearchResult(None, (), 0, raw, 0.0)
-    stream = _role_assignments(columns, symmetry_pruning=True)
-    return _search(runs, len(columns), raw, stream, workers)
+    designs = np.sort(np.array([columns], dtype=np.int64), axis=1)
+    return _search(runs, len(columns), raw, _assignment_chunks(designs, True), workers)

@@ -5,6 +5,7 @@ from math import comb
 import numpy as np
 import pytest
 
+from condma import aberration
 from condma.aberration import (
     FastEvaluator,
     KSequence,
@@ -209,6 +210,29 @@ class TestRegularBatch:
                 want = k_sequence_fast(expand(spec)).values
                 assert tuple(row) == want
                 assert k_from_counts(spec).values == want
+
+    # 64-run (1, 2, 4, 8, 16, 32) plus the next labels: entries pass 2**53
+    # from n=40 and 2**63 from n=50, where int64 sums would wrap
+    @pytest.mark.parametrize(
+        "r, n, dtype",
+        [(4, 9, np.float64), (5, 16, np.float64), (6, 30, np.float64), (6, 45, np.int64),
+         (6, 56, object), (6, 61, object)],
+    )
+    def test_exact_in_every_regime(self, r, n, dtype):
+        assert aberration._block_weights(r, n).dtype == dtype
+        if r == 6 and n > 30:
+            basic = (1, 2, 4, 8, 16, 32)
+            rest = tuple(x for x in range(1, 64) if x not in basic)
+            specs = [RegularSpec(6, basic + rest[: n - 6])]
+        else:
+            rng = random.Random(n)
+            specs = [random_admissible_spec(rng, r, n) for _ in range(3)]
+        ev = RegularBatchEvaluator(r, np.array([spec.columns for spec in specs]))
+        rows = np.concatenate([ev.block(l) for l in range(2, n - 1)], axis=1).tolist()
+        for spec, row in zip(specs, rows):
+            assert tuple(row) == k_from_counts(spec).values
+        if dtype is object:
+            assert max(rows[0]) >= 1 << 63
 
     def test_select_keeps_rows(self):
         rng = random.Random(7)

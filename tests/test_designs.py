@@ -1,4 +1,5 @@
 import random
+import re
 from itertools import combinations
 
 import numpy as np
@@ -18,6 +19,7 @@ from condma.designs import (
     load_design_file,
     parse_design_text,
     projection_counts,
+    regular_specs,
 )
 from helpers import random_valid_spec
 
@@ -208,6 +210,55 @@ class TestAdmissibleMask:
     def test_unsupported_sizes_reject_everything(self):
         assert not admissible_mask(4, np.array([[1, 2, 4, 8]])).any()
         assert not admissible_mask(MAX_R + 1, np.array([[1, 2, 4, 8, 16]])).any()
+
+
+def spec_or_error(r, labels):
+    """What `RegularSpec` makes of one row: the spec, or its error message."""
+    try:
+        return RegularSpec(r=r, columns=labels)
+    except DesignError as exc:
+        return str(exc)
+
+
+class TestRegularSpecs:
+    @pytest.mark.parametrize("r", [4, 5, 6])
+    def test_rejects_exactly_what_regular_spec_rejects(self, r):
+        # out-of-range labels, repeated labels and rank-deficient rows, each
+        # validated alone and as the first bad row of a batch
+        rng = random.Random(40 + r)
+        for n in (r + 1, r + 3, r + 5):
+            rows = []
+            for _ in range(300):
+                row = [rng.randrange(1, 1 << r) for _ in range(n)]
+                kind = rng.random()
+                if kind < 0.15:
+                    row[rng.randrange(n)] = rng.choice((0, -3, 1 << r, 1 << (r + 2)))
+                elif kind < 0.3:
+                    row[rng.randrange(n)] = row[rng.randrange(n)]
+                elif kind < 0.45:
+                    row = [rng.randrange(1, 1 << (r - 1)) for _ in range(n)]
+                rows.append(tuple(row))
+            want = [spec_or_error(r, row) for row in rows]
+            assert 0 < sum(isinstance(w, str) for w in want) < len(want)
+            for row, expected in zip(rows, want):
+                if isinstance(expected, str):
+                    with pytest.raises(DesignError) as exc:
+                        regular_specs(r, np.array([row]))
+                    assert str(exc.value) == expected
+                else:
+                    assert regular_specs(r, np.array([row])) == (expected,)
+            first_bad = next(w for w in want if isinstance(w, str))
+            with pytest.raises(DesignError, match=re.escape(first_bad)):
+                regular_specs(r, np.array(rows))
+            good = [w for w in want if not isinstance(w, str)]
+            assert regular_specs(r, np.array([spec.columns for spec in good])) == tuple(good)
+
+    def test_sizes_checked_like_regular_spec(self):
+        with pytest.raises(DesignError, match="at least 5 columns"):
+            regular_specs(4, np.array([[1, 2, 4, 8]]))
+        with pytest.raises(DesignError, match="outside supported range"):
+            regular_specs(MAX_R + 1, np.array([[1, 2, 4, 8, 16]]))
+        assert regular_specs(4, np.zeros((0, 5), dtype=np.int64)) == ()
 
 
 LABELS_TEXT = """\

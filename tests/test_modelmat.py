@@ -52,6 +52,21 @@ def test_x_block_weight_one_is_plain_columns():
     assert got == {tuple(c) for c in member_cols}
 
 
+def test_x_block_is_its_columns_in_member_order():
+    rng = random.Random(17)
+    for r, n in ((4, 7), (5, 9)):
+        mat = expand(random_valid_spec(rng, r, n))
+        for s in (0, 1, 2):
+            for l in range(s, n - 1):
+                members = omega_members(n, s, l)
+                block = build_x_block(mat, s, l)
+                assert block.dtype == np.int64
+                assert block.shape == (mat.shape[0], len(members))
+                if members:
+                    want = np.column_stack([build_x_column(mat, b) for b in members])
+                    assert np.array_equal(block, want)
+
+
 def test_full_factorial_blocks_orthogonal():
     mat = expand(RegularSpec(r=5, columns=(1, 2, 4, 8, 16)))
     for s, l in ((0, 2), (1, 1), (1, 2), (2, 2), (2, 3)):

@@ -101,8 +101,8 @@ class TestEnumeration:
         ],
     )
     def test_raw_count_matches_stream(self, task):
-        count, stream = search._raw_candidates(task)
-        assert count == sum(1 for _ in stream)
+        count, chunks = search._raw_candidates(task)
+        assert count == sum(len(chunk) for chunk in chunks)
         res = search_ma(task)
         assert res.candidates_examined + res.pruned == count
 
@@ -188,6 +188,25 @@ class TestDeterminism:
         search_ma(SearchTask(runs=16, n=9, workers=2))
         assert pool_starts == ([2] if pooled else [])
 
+    def test_large_designs_split_into_chunks(self, monkeypatch, pool_starts):
+        # 1,512 assignments per 16-run n=9 design in chunks of 500: each
+        # design spans four chunks, and the pool still gets several
+        task = SearchTask(runs=16, n=9, mode="catalog")
+        head = search_ma(task)
+        monkeypatch.setattr(search, "_CHUNK", 500)
+        count, chunks = search._raw_candidates(task)
+        sizes = [len(chunk) for chunk in chunks]
+        assert sum(sizes) == count
+        assert max(sizes) == 500
+        assert len(sizes) == 4 * count // 1512
+        for w in (1, 2):
+            other = search_ma(SearchTask(runs=16, n=9, mode="catalog", workers=w))
+            assert other.best_k == head.best_k
+            assert other.minimizers == head.minimizers
+            assert other.candidates_examined == head.candidates_examined
+            assert other.pruned == head.pruned
+        assert pool_starts == [2]
+
     def test_one_row_sub_batches_match(self, monkeypatch):
         tasks = (SearchTask(runs=16, n=8), SearchTask(runs=32, n=6, mode="catalog"))
         default = [search_ma(task) for task in tasks]
@@ -219,6 +238,13 @@ class TestCanonicalize:
         b = RegularSpec(r=4, columns=(1, 2, 4, 8, 9, 6))
         assert canonicalize([a, b]) == canonicalize([b, a])
         assert len(canonicalize([a, b])) == 2
+
+    def test_mixed_sizes_rejected(self):
+        a = RegularSpec(r=4, columns=(1, 2, 4, 8, 15))
+        b = RegularSpec(r=4, columns=(1, 2, 4, 8, 5, 14))
+        assert canonicalize([]) == ()
+        with pytest.raises(DesignError):
+            canonicalize([a, b])
 
 
 class TestSoundness:
@@ -307,6 +333,16 @@ class TestWithinColumns:
         # the row's own printed assignment attains the optimum
         row_k = k_sequence_fast(expand(RegularSpec(r=5, columns=columns)))
         assert compare_k(res.best_k, row_k) == 0
+
+    def test_column_order_does_not_matter(self):
+        columns = [16, 11, 14, 19, 1, 2, 4, 8, 7, 13, 21]
+        want = search_within_columns(32, sorted(columns))
+        rng = random.Random(3)
+        for _ in range(2):
+            rng.shuffle(columns)
+            got = search_within_columns(32, columns)
+            assert (got.best_k, got.minimizers) == (want.best_k, want.minimizers)
+            assert (got.candidates_examined, got.pruned) == (want.candidates_examined, want.pruned)
 
     def test_rejects_duplicates(self):
         with pytest.raises(DesignError):
