@@ -24,28 +24,31 @@ sign products d_ui d_wi (i <= 4) and the polynomials Q_l(c) defined by
 
 which are always integral.  Both routes agree entry for entry, exactly.
 
-Searches use `RegularBatchEvaluator`, which evaluates a batch of regular
-designs by the identity (values stored as N**2 * K, as everywhere here)
+So a Gram entry depends on the pair (u, w) only through the sign pattern
+p of its four role products and c = c_uw, for any +-1 matrix.  Since
+N**2 K_sl(h) = sum_{u,w} G_h1(u,w) G_sl(u,w),
 
-    N**2 K_sl(h) = N * sum_{p,c} H[p,c] G_h1(p,c) G_sl(p,c,l),
+    N**2 K_sl(h) = sum_{p,c} H_pairs[p,c] G_h1(p,c) G_sl(p,c,l),
 
-where H[p,c] counts the runs v whose four role characters chi_{b_i}(v)
-have sign pattern p and whose agreement count c(v) (ordinary labels b
-with <v, b> = 0) is c.  The argument:
+with H_pairs[p,c] the number of ordered run pairs with pattern p and count
+c.  Each product G_h1 G_sl is sum_k C[k,p,c] Q_{l-2+k}(c) for a small
+integer table C (`_pattern_weights`), so `FastEvaluator` keeps only the
+exact int64 moments M[k,c] = sum_p C H_pairs and sums M Q per block: in
+int64 when sum |M| max|Q| < 2**63 (no partial sum can exceed that), in
+Python ints otherwise.
 
-1. In a regular design d_ui d_wi = chi_{b_i}(u XOR w), and runs u, w
-   agree on ordinary column j exactly when <u XOR w, b_j> = 0.
-2. So every Gram entry G(u, w) is a function of v = u XOR w only, and
-   through (p(v), c(v)) only; for each v exactly N pairs (u, w) give it.
-3. Hence sum_{u,w} G_h1 G_sl = N sum_v G_h1(v) G_sl(v), and grouping the
-   N runs v by (p, c) gives the histogram form.
-
-The weights W_l[(p,c), entry] = N G_h1 G_sl depend only on (r, n) and
-are built once in Python ints.  The sum is exact in the arithmetic picked
-by the static bound N max|W_l| (every partial sum of H @ W_l is at most
-that, as H >= 0 sums to N): float64 below 2**53, where every partial sum
-is an integer a double holds exactly; int64 below 2**63; Python ints
-(object arrays) beyond.
+Searches use `RegularBatchEvaluator`.  For a regular design the pair
+histogram is N times the histogram H[p,c] of the runs v = u XOR w:
+1. d_ui d_wi = chi_{b_i}(u XOR w), and runs u, w agree on ordinary
+   column j exactly when <u XOR w, b_j> = 0;
+2. so each Gram entry is a function of v only, through (p(v), c(v)), and
+   each v arises from exactly N pairs (u, w).
+Hence N**2 K_sl(h) = H @ W_l with weights W_l = N G_h1 G_sl per (p, c),
+built once per (r, n) from the same table C.  The sum is exact in the
+arithmetic picked by the static bound N max|W_l| (every partial sum of
+H @ W_l is at most that, as H >= 0 sums to N): float64 below 2**53, where
+every partial sum is an integer a double holds exactly; int64 below
+2**63; Python ints (object arrays) beyond.
 """
 
 from __future__ import annotations
@@ -164,28 +167,24 @@ def q_polynomial(l: int, c: int, n: int) -> int:
 
 @lru_cache(maxsize=64)
 def q_polynomial_table(n: int, lmax: int) -> np.ndarray:
-    """Array Q[l, c] for l = 0..lmax, c = 0..n-4 (int64, read-only).
+    """Array Q[l, c] for l = 0..lmax, c = 0..n-4, read-only: int64 when
+    every entry fits, Python ints (object) otherwise.
 
     Cached per (n, lmax): every design with n factors shares one table.
     """
-    m = n - 4
-    table = np.empty((lmax + 1, m + 1), dtype=np.int64)
-    for c in range(m + 1):
-        for l in range(lmax + 1):
-            table[l, c] = q_polynomial(l, c, n)
+    table = np.array(
+        [[q_polynomial(l, c, n) for c in range(n - 3)] for l in range(lmax + 1)], dtype=object
+    )
+    if max(abs(x) for x in table.flat) < 1 << 63:
+        table = table.astype(np.int64)
     table.setflags(write=False)
     return table
 
 
 def agreement_counts(matrix: np.ndarray) -> np.ndarray:
     """c_uw: number of ordinary columns (5..n) where runs u and w agree."""
-    return _agreement_counts(as_design_matrix(matrix))
-
-
-def _agreement_counts(mat: np.ndarray) -> np.ndarray:
-    tail = mat[:, 4:].astype(np.int64)
-    m = tail.shape[1]
-    return (m + tail @ tail.T) // 2
+    tail = as_design_matrix(matrix)[:, 4:].astype(np.int64)
+    return (tail.shape[1] + tail @ tail.T) // 2
 
 
 def q_value(matrix: np.ndarray, s: int, l: int, u: int, w: int) -> int:
@@ -197,23 +196,13 @@ def q_value(matrix: np.ndarray, s: int, l: int, u: int, w: int) -> int:
     positions it shares with the ordinary columns split across Q_{l-1}
     and Q_{l-2}.
     """
-    mat = as_design_matrix(matrix)
+    if s not in (0, 1, 2):
+        raise ValueError(f"s must be 0, 1 or 2, got {s}")
+    mat = as_design_matrix(matrix).astype(int)
     n = mat.shape[1]
-    d1, d2, d3, d4 = (int(mat[u, i]) * int(mat[w, i]) for i in range(4))
-    c = int(agreement_counts(mat)[u, w])
-
-    def q(k: int) -> int:
-        return q_polynomial(k, c, n)
-
-    if s == 0:
-        return d2 * d4 * q(l - 2) + (d2 + d4) * q(l - 1) + q(l)
-    if s == 1:
-        first = (d1 + d1 * d2 + d3 + d3 * d4) * q(l - 1)
-        second = (d1 * d4 + d1 * d2 * d4 + d2 * d3 + d2 * d3 * d4) * q(l - 2)
-        return first + second
-    if s == 2:
-        return d1 * d3 * (1 + d2) * (1 + d4) * q(l - 2)
-    raise ValueError(f"s must be 0, 1 or 2, got {s}")
+    c = int(np.sum(mat[u, 4:] == mat[w, 4:]))
+    terms = _role_terms(*(int(mat[u, i] * mat[w, i]) for i in range(4)))
+    return _class_grams(terms, *(q_polynomial(k, c, n) for k in (l - 2, l - 1, l)))[s]
 
 
 def _role_terms(s1, s2, s3, s4) -> tuple:
@@ -234,44 +223,63 @@ def _class_grams(terms: tuple, qm2, qm1, q0) -> tuple:
     return a0 * qm2 + a1 * qm1 + q0, b1 * qm1 + b2 * qm2, c2 * qm2
 
 
+@lru_cache(maxsize=64)
+def _pattern_weights(n: int) -> np.ndarray:
+    """C[e, k, p, c], read-only int64: the coefficient of Q_{l-2+k}(c) in
+    G_h1 G_sl (the same for every l) for block entry e = 2s + h, role-sign
+    pattern p (bit i set when the sign product of role column i+1 is -1)
+    and agreement count c."""
+    p = np.arange(16)[:, None]
+    terms = _role_terms(*(1 - 2 * ((p >> i) & 1) for i in range(4)))
+    first = (terms[1] + q_polynomial_table(n, n - 2)[1], terms[2])  # G_01, G_11
+    table = np.zeros((6, 3, 16, n - 3), dtype=np.int64)
+    for k, unit in enumerate(np.eye(3, dtype=np.int64)):
+        for s, g in enumerate(_class_grams(terms, *unit)):
+            for h, hg in enumerate(first):
+                table[2 * s + h, k] = hg * g
+    table.setflags(write=False)
+    return table
+
+
+# Run pairs x tail words per FastEvaluator histogram step (bounds temporaries).
+_PAIR_ELEMENTS = 1 << 20
+
+
 class FastEvaluator:
     """Per-design state for the fast route, evaluable one l-block at a time.
 
-    Precomputes the four role-column sign-product matrices and looks up
-    the shared Q table once; `block(l)` then costs a few N x N integer
-    maps.  The lazy shape lets a caller stop after a losing prefix.
-    Searches over regular designs use `RegularBatchEvaluator` instead;
-    this route serves any explicit matrix.
+    Holds the moments M[e, k, c] = sum_p C[e, k, p, c] H_pairs[p, c] of the
+    design's run-pair histogram (see the module docstring), so `block(l)`
+    is one (6, 3, n-3) product with Q_{l-2..l}; the lazy shape lets a
+    caller stop after a losing prefix.  Searches over regular designs use
+    `RegularBatchEvaluator` instead; this route serves any explicit matrix.
     """
 
     def __init__(self, matrix: np.ndarray):
         mat = as_design_matrix(matrix)
         self.runs, self.n = mat.shape
-        cols = mat.astype(np.int64)
-        self._terms = _role_terms(*(np.outer(cols[:, i], cols[:, i]) for i in range(4)))
-        self._c = _agreement_counts(mat)
-        self._qtab = q_polynomial_table(self.n, self.n - 2)
-        self._gathered: dict[int, np.ndarray] = {}
-        _, a1, b1, _, _ = self._terms
-        self._q01 = a1 + self._gather(1)  # Gram matrix of class (0, 1)
-        self._q11 = b1  # Gram matrix of class (1, 1)
-
-    def _gather(self, l: int) -> np.ndarray:
-        """Q_l evaluated entrywise at the agreement counts (0 for l < 0)."""
-        if l < 0:
-            return np.zeros_like(self._c)
-        got = self._gathered.get(l)
-        if got is None:
-            got = self._qtab[l][self._c]
-            self._gathered[l] = got
-        return got
+        m, width = self.n - 4, self.n - 3
+        roles = (mat[:, :4] < 0) @ (1 << np.arange(4))
+        minus = np.zeros((self.runs, 64 * -(-m // 64)), dtype=bool)
+        minus[:, :m] = mat[:, 4:] < 0
+        tail = np.packbits(minus, axis=1).view(np.uint64)  # ordinary minus signs, 64 per word
+        hist = np.zeros(16 * width, dtype=np.int64)
+        step = max(1, _PAIR_ELEMENTS // (self.runs * tail.shape[1]))
+        for lo in range(0, self.runs, step):
+            differ = np.bitwise_count(tail[lo : lo + step, None] ^ tail).sum(axis=2, dtype=np.int64)
+            key = (roles[lo : lo + step, None] ^ roles) * width + m - differ
+            hist += np.bincount(key.ravel(), minlength=16 * width)
+        moments = (_pattern_weights(self.n) * hist.reshape(16, width)).sum(axis=2)
+        q = q_polynomial_table(self.n, self.n - 2)
+        if int(np.abs(moments).sum(axis=(1, 2)).max()) * int(np.abs(q).max()) >= 1 << 63:
+            moments, q = moments.astype(object), q.astype(object)
+        self._moments, self._q = moments, q
 
     def block(self, l: int) -> tuple[int, int, int, int, int, int]:
         """The six sequence entries for one l, in standard order."""
         if not 2 <= l <= self.n - 2:
             raise ValueError(f"l={l} outside 2..{self.n - 2}")
-        grams = _class_grams(self._terms, self._gather(l - 2), self._gather(l - 1), self._gather(l))
-        return tuple(int((hg * g).sum()) for g in grams for hg in (self._q01, self._q11))
+        return tuple(int(x) for x in (self._moments * self._q[l - 2 : l + 1]).sum(axis=(1, 2)))
 
     def sequence(self) -> KSequence:
         values: list[int] = []
@@ -327,29 +335,20 @@ class RegularBatchEvaluator:
 def _block_weights(r: int, n: int) -> np.ndarray:
     """W_l for l = 2..n-2, stacked: a read-only (n-3, 16 (n-3), 6) array.
 
-    Row p (n-3) + c of W_l holds N G_h1 G_sl for role-sign pattern p (bit
-    i set when role column i+1 is -1) and agreement count c, one column
-    per sequence entry of the block.  Built in Python ints, then stored by
-    the static bound N max|W|: float64 below 2**53, int64 below 2**63,
-    Python ints (object) beyond.
+    Row p (n-3) + c of W_l holds N G_h1 G_sl = N sum_k C[:, k, p, c]
+    Q_{l-2+k}(c) (see `_pattern_weights`) for role-sign pattern p and
+    agreement count c, one column per sequence entry of the block.  Built
+    exactly, then stored by the static bound N max|W|: float64 below 2**53,
+    int64 below 2**63, Python ints (object) beyond.
     """
-    runs, m = 1 << r, n - 4
-    p = np.arange(16)[:, None]
-    terms = _role_terms(*((1 - 2 * ((p >> i) & 1)).astype(object) for i in range(4)))
-    q = np.array(
-        [[q_polynomial(l, c, n) for c in range(m + 1)] for l in range(n - 1)], dtype=object
-    )
-    q01, q11 = terms[1] + q[1], terms[2]
-    w = np.empty((n - 3, 16, m + 1, 6), dtype=object)
-    for l in range(2, n - 1):
-        grams = _class_grams(terms, q[l - 2], q[l - 1], q[l])
-        w[l - 2] = runs * np.stack([hg * g for g in grams for hg in (q01, q11)], axis=-1)
-    w = w.reshape(n - 3, 16 * (m + 1), 6)
-    bound = runs * max(abs(x) for x in w.flat)
-    if bound < 1 << 53:
-        w = w.astype(np.float64)
-    elif bound < 1 << 63:
-        w = w.astype(np.int64)
+    runs, width = 1 << r, n - 3
+    table, q = _pattern_weights(n), q_polynomial_table(n, n - 2)
+    if 3 * runs * int(np.abs(table).max()) * int(np.abs(q).max()) >= 1 << 63:
+        table, q = table.astype(object), q.astype(object)
+    w = sum(table[:, k] * q[k : k + width, None, None] for k in range(3))  # (l, e, p, c)
+    w = np.ascontiguousarray((runs * w).transpose(0, 2, 3, 1)).reshape(width, 16 * width, 6)
+    bound = runs * int(np.abs(w).max())
+    w = w.astype(np.float64 if bound < 1 << 53 else np.int64 if bound < 1 << 63 else object)
     w.setflags(write=False)
     return w
 

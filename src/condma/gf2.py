@@ -17,19 +17,12 @@ from typing import Iterable, Sequence
 import numpy as np
 
 __all__ = [
-    "vec_add",
     "rank",
-    "span_set",
     "is_independent",
     "subset_sum_count",
     "subset_sum_table",
     "subset_sum_layers",
 ]
-
-
-def vec_add(a: int, b: int) -> int:
-    """Sum of two GF(2) vectors (bitwise XOR)."""
-    return a ^ b
 
 
 def rank(vectors: Iterable[int]) -> int:
@@ -46,14 +39,6 @@ def rank(vectors: Iterable[int]) -> int:
                 break
             v ^= p
     return len(pivots)
-
-
-def span_set(vectors: Iterable[int]) -> set[int]:
-    """All GF(2) combinations of `vectors` (includes 0)."""
-    out = {0}
-    for v in vectors:
-        out |= {v ^ w for w in out}
-    return out
 
 
 def is_independent(vectors: Sequence[int]) -> bool:

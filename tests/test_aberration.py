@@ -99,6 +99,10 @@ class TestQPolynomial:
         # on any remainder; completing the table is the integrality proof
         table = q_polynomial_table(20, 18)
         assert table.dtype == np.int64
+        # n=72: Q_34(n-4) = C(68, 34) > 2**63, so the table keeps Python ints
+        table = q_polynomial_table(72, 70)
+        assert table.dtype == object
+        assert table[34, 68] == comb(68, 34) > 2**63
 
     def test_table_is_shared_and_read_only(self):
         table = q_polynomial_table(9, 7)
@@ -185,6 +189,21 @@ class TestRouteAgreement:
         mat = np.vstack([top, bottom])
         rng.shuffle(mat, axis=0)
         assert k_sequence_fast(mat) == k_sequence_direct(mat)
+        # 24 runs, not a power of two: a 16-run and an 8-run fraction
+        top = expand(RegularSpec(r=4, columns=(1, 2, 4, 8, 15, 7)))
+        bottom = expand(RegularSpec(r=3, columns=(1, 2, 4, 7, 3, 5)))
+        mat = np.vstack([top, bottom])
+        rng.shuffle(mat, axis=0)
+        assert k_sequence_fast(mat) == k_sequence_direct(mat)
+
+    def test_pair_histogram_split_into_row_blocks(self, monkeypatch):
+        mat = expand(RegularSpec(r=5, columns=(1, 2, 4, 8, 16, 31, 7, 25, 14)))
+        whole = k_sequence_fast(mat)
+        monkeypatch.setattr(aberration, "_PAIR_ELEMENTS", 100)  # 3 rows per step
+        ev = FastEvaluator(mat)
+        assert ev.sequence() == whole == k_sequence_direct(mat)
+        # the state is the pair histogram's moments, not N x N arrays
+        assert all(np.size(v) < mat.shape[0] ** 2 for v in vars(ev).values())
 
     def test_evaluator_blocks_compose_sequence(self):
         mat = expand(ROW6)
@@ -219,7 +238,8 @@ class TestRegularBatch:
          (6, 56, object), (6, 61, object)],
     )
     def test_exact_in_every_regime(self, r, n, dtype):
-        assert aberration._block_weights(r, n).dtype == dtype
+        weights = aberration._block_weights(r, n)
+        assert weights.dtype == dtype and weights.flags.c_contiguous
         if r == 6 and n > 30:
             basic = (1, 2, 4, 8, 16, 32)
             rest = tuple(x for x in range(1, 64) if x not in basic)
@@ -231,6 +251,7 @@ class TestRegularBatch:
         rows = np.concatenate([ev.block(l) for l in range(2, n - 1)], axis=1).tolist()
         for spec, row in zip(specs, rows):
             assert tuple(row) == k_from_counts(spec).values
+            assert k_sequence_fast(expand(spec)).values == tuple(row)
         if dtype is object:
             assert max(rows[0]) >= 1 << 63
 

@@ -8,12 +8,6 @@ import pytest
 from condma import gf2
 
 
-def test_vec_add():
-    assert gf2.vec_add(5, 5) == 0
-    assert gf2.vec_add(1, 2) == 3
-    assert gf2.vec_add(12, 7) == 11
-
-
 def test_rank():
     assert gf2.rank([1, 2, 4, 8]) == 4
     assert gf2.rank([1, 2, 3]) == 2
@@ -24,7 +18,6 @@ def test_rank():
 
 
 def test_span_and_independence():
-    assert gf2.span_set([1, 2]) == {0, 1, 2, 3}
     assert gf2.is_independent([1, 2, 4])
     assert not gf2.is_independent([1, 2, 3])
 
