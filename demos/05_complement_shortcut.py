@@ -34,9 +34,9 @@ def complement_diffs(a: condma.RegularSpec, b: condma.RegularSpec) -> tuple[int,
 def main() -> None:
     # 16 runs, n = 12: only 3 of the 15 labels are left out of each design.
     runs, n = 16, 12
-    task = condma.SearchTask(runs=runs, n=n, mode="exhaustive")
-    specs = [s for s in condma.search.enumerate_candidates(task)
-             if condma.check_conditions_regular(s).ok][:6]
+    pool = [x for x in range(1, runs) if x not in (1, 2, 4, 8)]
+    candidates = (condma.RegularSpec(4, (1, 2, 4, 8) + tail) for tail in combinations(pool, n - 4))
+    specs = [s for s in candidates if condma.check_conditions_regular(s).ok][:6]
     print(f"{len(specs)} admissible candidates at N = {runs}, n = {n}\n")
 
     checked = 0

@@ -33,9 +33,9 @@ N**2 K_sl(h) = sum_{u,w} G_h1(u,w) G_sl(u,w),
 with H_pairs[p,c] the number of ordered run pairs with pattern p and count
 c.  Each product G_h1 G_sl is sum_k C[k,p,c] Q_{l-2+k}(c) for a small
 integer table C (`_pattern_weights`), so `FastEvaluator` keeps only the
-exact int64 moments M[k,c] = sum_p C H_pairs and sums M Q per block: in
-int64 when sum |M| max|Q| < 2**63 (no partial sum can exceed that), in
-Python ints otherwise.
+exact int64 moments M[k,c] = sum_p C H_pairs and sums M Q_{l-2..l} per
+block: in int64 when sum |M| max|Q_{l-2..l}| < 2**63 (no partial sum of
+that block can exceed it), in Python ints otherwise.
 
 Searches use `RegularBatchEvaluator`.  For a regular design the pair
 histogram is N times the histogram H[p,c] of the runs v = u XOR w:
@@ -48,7 +48,8 @@ built once per (r, n) from the same table C.  The sum is exact in the
 arithmetic picked by the static bound N max|W_l| (every partial sum of
 H @ W_l is at most that, as H >= 0 sums to N): float64 below 2**53, where
 every partial sum is an integer a double holds exactly; int64 below
-2**63; Python ints (object arrays) beyond.
+2**63; Python ints (object arrays) beyond.  Equal histograms give equal
+K sequences, so a search scores each distinct histogram once.
 """
 
 from __future__ import annotations
@@ -171,10 +172,21 @@ def q_polynomial_table(n: int, lmax: int) -> np.ndarray:
     every entry fits, Python ints (object) otherwise.
 
     Cached per (n, lmax): every design with n factors shares one table.
+    The rows come from `q_polynomial`'s recursion run over every c at once,
+    in Python ints.
     """
-    table = np.array(
-        [[q_polynomial(l, c, n) for c in range(n - 3)] for l in range(lmax + 1)], dtype=object
-    )
+    m = n - 4
+    first = [2 * c - m for c in range(m + 1)]
+    rows = [[1] * (m + 1), first][: lmax + 1]
+    for k in range(2, lmax + 1):
+        row = []
+        for c, (x, cur, prev) in enumerate(zip(first, rows[-1], rows[-2])):
+            q, rem = divmod(x * cur - (m + 2 - k) * prev, k)
+            if rem:
+                raise AssertionError(f"Q recursion not integral at l={k}, c={c}, n={n}")
+            row.append(q)
+        rows.append(row)
+    table = np.array(rows, dtype=object).reshape(lmax + 1, m + 1)
     if max(abs(x) for x in table.flat) < 1 << 63:
         table = table.astype(np.int64)
     table.setflags(write=False)
@@ -269,17 +281,21 @@ class FastEvaluator:
             differ = np.bitwise_count(tail[lo : lo + step, None] ^ tail).sum(axis=2, dtype=np.int64)
             key = (roles[lo : lo + step, None] ^ roles) * width + m - differ
             hist += np.bincount(key.ravel(), minlength=16 * width)
-        moments = (_pattern_weights(self.n) * hist.reshape(16, width)).sum(axis=2)
-        q = q_polynomial_table(self.n, self.n - 2)
-        if int(np.abs(moments).sum(axis=(1, 2)).max()) * int(np.abs(q).max()) >= 1 << 63:
-            moments, q = moments.astype(object), q.astype(object)
-        self._moments, self._q = moments, q
+        self._moments = (_pattern_weights(self.n) * hist.reshape(16, width)).sum(axis=2)
+        self._q = q_polynomial_table(self.n, self.n - 2)
+        self._sum = int(np.abs(self._moments).sum(axis=(1, 2)).max())
+        self._qmax = [int(x) for x in np.abs(self._q).max(axis=1)]
 
     def block(self, l: int) -> tuple[int, int, int, int, int, int]:
         """The six sequence entries for one l, in standard order."""
         if not 2 <= l <= self.n - 2:
             raise ValueError(f"l={l} outside 2..{self.n - 2}")
-        return tuple(int(x) for x in (self._moments * self._q[l - 2 : l + 1]).sum(axis=(1, 2)))
+        moments, q = self._moments, self._q[l - 2 : l + 1]
+        if self._sum * max(self._qmax[l - 2 : l + 1]) < 1 << 63:
+            q = q.astype(np.int64, copy=False)
+        else:
+            moments, q = moments.astype(object), q.astype(object)
+        return tuple(int(x) for x in (moments * q).sum(axis=(1, 2)))
 
     def sequence(self) -> KSequence:
         values: list[int] = []
@@ -304,18 +320,23 @@ class RegularBatchEvaluator:
 
     def __init__(self, r: int, labels: np.ndarray):
         labels = np.asarray(labels, dtype=np.int64)
-        self.runs = 1 << r
-        self.rows, self.n = labels.shape
-        self._w = _block_weights(r, self.n)
-        width = 16 * (self.n - 3)
-        v = np.arange(self.runs, dtype=np.int64)
-        odd = np.bitwise_count(labels[:, :, None] & v) & 1  # (rows, n, N) uint8
-        # key = p (n-3) + c with p = sum_i odd_i 2**i over the roles and
-        # c = (n-4) - (odd tail labels): one coefficient per column
-        coef = np.array([(self.n - 3) << i for i in range(4)] + [-1] * (self.n - 4))
-        key = (self.n - 4) + coef @ odd + width * np.arange(self.rows)[:, None]
-        hist = np.bincount(key.ravel(), minlength=self.rows * width)
-        self._h = hist.reshape(self.rows, width).astype(self._w.dtype)
+        rows, n = labels.shape
+        hists = _run_histograms(r, labels, np.arange(n)[None], np.arange(rows), max(1, rows))
+        self._start(r, n, hists)
+
+    @classmethod
+    def _of_histograms(cls, r: int, n: int, hists: np.ndarray) -> "RegularBatchEvaluator":
+        """An evaluator whose rows are the given (rows, 16 (n-3)) run
+        histograms, as `_run_histograms` builds them."""
+        ev = cls.__new__(cls)
+        ev._start(r, n, hists)
+        return ev
+
+    def _start(self, r: int, n: int, hists: np.ndarray) -> None:
+        self.runs, self.n = 1 << r, n
+        self._w = _block_weights(r, n)
+        self._h = hists.astype(self._w.dtype)
+        self.rows = self._h.shape[0]
 
     def select(self, rows: np.ndarray) -> None:
         """Keep only the given rows (an index or boolean array)."""
@@ -329,6 +350,49 @@ class RegularBatchEvaluator:
             raise ValueError(f"l={l} outside 2..{self.n - 2}")
         out = self._h @ self._w[l - 2]
         return out.astype(np.int64) if out.dtype == np.float64 else out
+
+
+def _run_histograms(
+    r: int, designs: np.ndarray, index: np.ndarray, picks: np.ndarray, step: int
+) -> np.ndarray:
+    """Run histograms H[p, c] of chosen role assignments, one row each.
+
+    `designs` is a (G, n) array of admissible column sets, `index` an
+    (A, n) array of column positions (roles first), and `picks` the
+    ascending flat positions g A + a of the assignments
+    `designs[g, index[a]]` to build.  Returns a (len(picks), 16 (n-3))
+    array in the smallest dtype that holds N, with H[p, c] at p (n-3) + c.
+
+    At run v, with odd(b, v) = <b, v> and odd_all(v) the number of odd
+    columns of the design, the key p (n-3) + c is
+
+        (n-4) - odd_all(v) + sum_t ((n-3) 2**t + 1) odd(b_t, v)
+          = (n-4) - odd_all(v) + (n-3) p(v) + popcount(p(v))
+
+    over the four roles b_t, with p(v) = sum_t 2**t odd(b_t, v), since c
+    counts the even ordinary columns.  odd_all is a per-design quantity,
+    so each assignment costs four gathered role parities per run.  A step
+    covers at most `step` picks and the designs they touch.
+    """
+    runs, (_, n) = 1 << r, designs.shape
+    width = 16 * (n - 3)
+    small = np.min_scalar_type(runs - 1)  # labels and runs, for a cheap bitwise_count
+    v = np.arange(runs, dtype=small)
+    out = np.empty((len(picks), width), dtype=np.min_scalar_type(runs))
+    design, assignment = np.divmod(picks, len(index))
+    for lo in range(0, len(picks), step):
+        g = design[lo : lo + step]
+        fresh = np.ones(len(g), dtype=bool)
+        fresh[1:] = g[1:] != g[:-1]
+        local = np.cumsum(fresh) - 1
+        odd = np.bitwise_count(designs[g[fresh]].astype(small)[:, :, None] & v) & 1  # (designs, n, N)
+        b = odd[local[:, None], index[assignment[lo : lo + step], :4]]  # (picks, 4, N)
+        p = b[:, 0] | b[:, 1] << 1 | b[:, 2] << 2 | b[:, 3] << 3
+        key = (n - 3) * p.astype(np.int64) + np.bitwise_count(p)
+        key -= odd.sum(axis=1, dtype=np.int64)[local]
+        key += width * np.arange(len(g))[:, None] + (n - 4)
+        out[lo : lo + step] = np.bincount(key.ravel(), minlength=len(g) * width).reshape(-1, width)
+    return out
 
 
 @lru_cache(maxsize=64)

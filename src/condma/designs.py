@@ -224,22 +224,53 @@ def admissible_mask(r: int, labels: np.ndarray) -> np.ndarray:
     `labels` is a (rows, n) integer array of label tuples, roles first.
     Entry i of the result is True exactly when row i builds a
     `RegularSpec(r, row)` and that spec passes all four admissibility
-    conditions.  For distinct nonzero labels those conditions reduce to
-    bit tests: the four role labels are independent, and neither b1^b2
-    nor b3^b4 is an ordinary label.
+    conditions.  This is `_assignment_mask` with each row its own design
+    and the identity as the only assignment.
     """
     labels = np.asarray(labels, dtype=np.int64)
-    rows, n = labels.shape
+    return _assignment_mask(r, labels, np.arange(labels.shape[1])[None]).ravel()
+
+
+def _assignment_mask(r: int, designs: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """(G, A) mask over role assignments: entry (g, a) is True exactly when
+    the label tuple `designs[g, index[a]]` builds a `RegularSpec(r, ...)`
+    passing `check_conditions_regular`.
+
+    `designs` is a (G, n) int64 array of column sets and `index` an (A, n)
+    array of column positions, roles first.  Every assignment of a design
+    uses all of its columns, so validity (labels in range, distinct and of
+    rank r) is decided once per design.
+
+    For distinct nonzero labels with column set S, the conditions reduce
+    to three tests on the role pair sums:
+
+        b1^b2 not in S,   b3^b4 not in S,   b1^b2 != b3^b4.
+
+    Proof: a projection of a regular design is equifrequent exactly when
+    its labels are independent, and distinct nonzero labels give strength
+    two.  The conditions left are that b1, b2, b3, b4 are independent and
+    that neither b1^b2 nor b3^b4 is an ordinary label.  Independence of
+    four distinct nonzero labels needs the four triple sums and the
+    four-way sum to be nonzero: b1^b2 != b3, b1^b2 != b4, b3^b4 != b1,
+    b3^b4 != b2 and b1^b2 != b3^b4.  Since b2 != 0, b1^b2 is neither b1 nor
+    b2, so "b1^b2 not in S" says exactly that it is not b3, not b4 and
+    not an ordinary label; likewise for b3^b4.  The four-way sum is the
+    third test.
+
+    Only the unordered position pairs that `index` puts in a role pair
+    get a sum, so the identity index costs two per design.
+    """
+    rows, n = designs.shape
     if n < 5 or not 2 <= r <= MAX_R:
-        return np.zeros(rows, dtype=bool)
-    ok = _valid_rows(r, labels)
-    b1, b2, b3, b4 = labels[:, :4].T
-    ok &= (b1 ^ b2 ^ b3 != 0) & (b1 ^ b2 ^ b4 != 0) & (b1 ^ b3 ^ b4 != 0)
-    ok &= (b2 ^ b3 ^ b4 != 0) & (b1 ^ b2 ^ b3 ^ b4 != 0)
-    tail = labels[:, 4:]
-    ok &= ~np.any(tail == (b1 ^ b2)[:, None], axis=1)
-    ok &= ~np.any(tail == (b3 ^ b4)[:, None], axis=1)
-    return ok
+        return np.zeros((rows, len(index)), dtype=bool)
+    ends = np.sort(index[:, :4].reshape(-1, 2, 2).astype(np.intp), axis=2)
+    used, pair = np.unique(ends[..., 0] * n + ends[..., 1], return_inverse=True)
+    pair = pair.reshape(-1, 2)
+    sums = designs[:, used // n] ^ designs[:, used % n]  # (G, pairs)
+    outside = ~np.any(sums[:, :, None] == designs[:, None, :], axis=2)
+    ok = outside[:, pair[:, 0]] & outside[:, pair[:, 1]]
+    ok &= sums[:, pair[:, 0]] != sums[:, pair[:, 1]]
+    return ok & _valid_rows(r, designs)[:, None]
 
 
 def _valid_rows(r: int, labels: np.ndarray) -> np.ndarray:
@@ -258,7 +289,7 @@ def regular_specs(r: int, labels: np.ndarray) -> tuple[RegularSpec, ...]:
 
     Every row is validated at once by the checks `RegularSpec` makes; the
     first row it would reject raises that row's `DesignError`.  The specs
-    are then built without validating each again.
+    are then built by `_spec_rows`, without validating each again.
     """
     labels = np.asarray(labels, dtype=np.int64)
     rows, n = labels.shape
@@ -269,8 +300,14 @@ def regular_specs(r: int, labels: np.ndarray) -> tuple[RegularSpec, ...]:
     if not ok.all():
         # the first row RegularSpec rejects, to raise its own error
         RegularSpec(r, tuple(labels[np.argmin(ok)].tolist()))
+    return _spec_rows(r, labels)
+
+
+def _spec_rows(r: int, labels: np.ndarray) -> tuple[RegularSpec, ...]:
+    """One `RegularSpec` per row, built without validation: every row must
+    already be known to pass `RegularSpec`'s checks."""
     specs = []
-    for start in range(0, rows, 2048):  # bounds the Python lists held at once
+    for start in range(0, len(labels), 2048):  # bounds the Python lists held at once
         for columns in labels[start : start + 2048].tolist():
             spec = object.__new__(RegularSpec)
             object.__setattr__(spec, "r", r)

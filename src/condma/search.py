@@ -15,33 +15,43 @@ Two modes:
   conditional/conditioning pairs are generated once (K is invariant
   under the swap).
 
-The search carries candidates as (rows, n) int64 label arrays, roles
-first, never as one Python tuple each.  Catalog mode sorts each design's
-columns and gathers them through one cached index table of role
-assignments per (n, symmetry_pruning) (`_role_index`); with sorted
-columns the pair-swap rule and the sorted tail read the same on
-positions as on labels.  Exhaustive mode packs `itertools.combinations`
-tails behind the fixed roles.  Either way a chunk holds about `_CHUNK` rows, and a design with
+The search carries candidates per design, never as one Python tuple
+each.  A chunk is a pair (designs, index): a (G, n) int64 array of column
+sets and an (A, n) array of column positions, roles first; it holds the
+G A label tuples designs[g, index[a]].  Catalog mode sorts each design's
+columns and takes `index` from one cached table of role assignments per
+(n, symmetry_pruning) (`_role_index`); with sorted columns the pair-swap
+rule and the sorted tail read the same on positions as on labels.
+Exhaustive mode packs `itertools.combinations` tails behind the fixed
+roles, each tuple a design of its own under the identity index (A = 1).
+Either way a chunk holds about `_CHUNK` assignments, and a design with
 more assignments than that is split across slices of the index table.
-The chunk-level ties stay arrays up to the end, where `_canonical_specs`
-sorts and dedupes them with `np.lexsort` and `designs.regular_specs`
-validates them all at once.
 
-Candidates are compared by exact lexicographic order on the integer
-K-sequence.  Each chunk goes through a vectorized admissibility filter
-(`designs.admissible_mask`), then its admissible candidates are
-evaluated in sub-batches by
+Each chunk is filtered per design (`designs._assignment_mask`): validity
+(labels in range, distinct, of full rank) once per column set, then the
+admissibility conditions as three tests on the role pair sums, b1^b2 and
+b3^b4 both outside the column set and unequal.  K depends on an
+assignment only through its run histogram H[p, c] (see `aberration`), so
+each admissible assignment's histogram is built from its design's column
+parities and its four role parities (`aberration._run_histograms`), the
+chunk's histograms are deduplicated exactly, and only the distinct ones
+are scored.  Candidates are compared by exact lexicographic order on the
+integer K-sequence, in sub-batches of distinct histograms by
 `aberration.RegularBatchEvaluator`, one l-block at a time for the whole
 sub-batch.  Pruning is batch-wise: after each block only the rows equal
 to the sub-batch's lexicographic minimum go on, and the sub-batch is
 dropped as soon as that minimum's prefix exceeds the best sequence seen
-so far.  All K-equal minima are returned.
+so far.  Every assignment whose histogram attains the minimum is a
+chunk-level tie, so all K-equal minima are returned.
 
 Each chunk reports its own exact minimum and the candidates achieving
 it, so the merged result is identical for any worker count, chunk order
 or sub-batch size.  Chunks go to a process pool only when the raw
 candidates, counted before any is generated, fill at least two chunks
-per worker; smaller searches run in-process.
+per worker; smaller searches run in-process.  The ties stay arrays up to
+the end, where `_canonical_specs` sorts and dedupes them with
+`np.lexsort` and builds their specs without validating them again: every
+tie passed the filter.
 """
 
 from __future__ import annotations
@@ -56,21 +66,15 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .aberration import KSequence, RegularBatchEvaluator
+from .aberration import KSequence, RegularBatchEvaluator, _run_histograms
 from .catalogs import CatalogFile, bundled_catalog, parse_catalog
-from .designs import (
-    DesignError,
-    RegularSpec,
-    admissible_mask,
-    check_conditions_regular,
-    regular_specs,
-)
+from .designs import DesignError, RegularSpec, _assignment_mask, _spec_rows
 
 _ROLES = (1, 2, 4, 8)
 _CHUNK = 20000
 # Working-set bound of an evaluation sub-batch in `_evaluate_chunk`.  A
-# sub-batch builds a (rows, n, runs) parity array and a (rows, runs) key
-# before its (rows, 16 (n-3)) histogram; sizing it by rows x runs keeps
+# histogram step builds (designs, n, runs) column parities, (rows, 4, runs)
+# role parities and a (rows, runs) key; sizing steps by rows x runs keeps
 # that small at every run size, and keeps each H @ W_l product below the
 # size at which BLAS starts threads (it did at 1 << 15 on 2 vCPUs).
 _BATCH_ELEMENTS = 1 << 13
@@ -80,6 +84,9 @@ _BATCH_ELEMENTS = 1 << 13
 # candidates), won 9 of 10 alternating pairs from three, and took 0.34 s
 # against 0.44 s at n=10 (115,920 raw) and 1.26 s against 1.87 s at n=12.
 _POOL_CHUNKS = 2
+# (G, n) int64 designs and an (A, n) slice of a role index table, or the
+# identity: the G A assignments designs[g, index[a]].
+_Chunk = tuple[np.ndarray, np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -129,10 +136,12 @@ class SearchResult:
     ``best_k`` is None when no candidate satisfied the admissibility
     conditions.  ``minimizers`` holds every condition-passing candidate
     whose K-sequence equals ``best_k`` exactly, in canonical form and
-    order.  ``candidates_examined`` counts candidates that reached K
-    evaluation; ``pruned`` counts candidates dropped beforehand by the
-    admissibility filter (or rank filter).  Both counters are partition
-    independent; only ``wall_time`` varies between reruns.
+    order.  ``candidates_examined`` counts every admissible candidate
+    whose K was determined, shared or not: scored itself, or through
+    another candidate with the same run histogram and so the same K.
+    ``pruned`` counts candidates dropped beforehand by the admissibility
+    filter (or rank filter).  Both counters are partition independent;
+    only ``wall_time`` varies between reruns.
     """
 
     best_k: KSequence | None
@@ -185,21 +194,21 @@ def _role_index(n: int, symmetry_pruning: bool) -> np.ndarray:
     return index
 
 
-def _assignment_chunks(designs: np.ndarray, symmetry_pruning: bool) -> Iterator[np.ndarray]:
+def _assignment_chunks(designs: np.ndarray, symmetry_pruning: bool) -> Iterator[_Chunk]:
     """Every role assignment of every row of a (designs, n) array of sorted
-    column sets, in label arrays of at most `_CHUNK` rows: whole designs
-    grouped, or one design split across slices of the index table."""
+    column sets, as chunks of at most `_CHUNK` assignments: whole designs
+    grouped with the whole index table, or one design with a slice of it."""
     index = _role_index(designs.shape[1], symmetry_pruning)
     per = max(1, _CHUNK // max(1, len(index)))
     for start in range(0, len(designs), per):
         group = designs[start : start + per]
         for lo in range(0, len(index), _CHUNK):
-            yield group[:, index[lo : lo + _CHUNK]].reshape(-1, designs.shape[1])
+            yield group, index[lo : lo + _CHUNK]
 
 
-def _raw_candidates(task: SearchTask) -> tuple[int, Iterator[np.ndarray]]:
+def _raw_candidates(task: SearchTask) -> tuple[int, Iterator[_Chunk]]:
     """The number of candidate label tuples before the admissibility
-    filter, and a stream of (rows, n) int64 chunks holding them."""
+    filter, and a stream of chunks holding them."""
     if task.mode == "exhaustive":
         pool = [x for x in range(1, 1 << task.r) if x not in _ROLES]
         return math.comb(len(pool), task.n - 4), _exhaustive_chunks(pool, task.n)
@@ -209,69 +218,67 @@ def _raw_candidates(task: SearchTask) -> tuple[int, Iterator[np.ndarray]]:
     return count, _assignment_chunks(columns, task.symmetry_pruning)
 
 
-def _exhaustive_chunks(pool: list[int], n: int) -> Iterator[np.ndarray]:
-    """`_ROLES` followed by each (n-4)-subset of `pool`, in chunks."""
+def _exhaustive_chunks(pool: list[int], n: int) -> Iterator[_Chunk]:
+    """`_ROLES` followed by each (n-4)-subset of `pool`: each label tuple
+    is a design of its own, under the identity index."""
     tails = itertools.combinations(pool, n - 4)
+    identity = np.arange(n)[None]
     while True:
         flat = itertools.chain.from_iterable(itertools.islice(tails, _CHUNK))
         tail = np.fromiter(flat, dtype=np.int64).reshape(-1, n - 4)
         if not len(tail):
             return
-        yield np.hstack([np.broadcast_to(np.array(_ROLES), (len(tail), 4)), tail])
-
-
-def enumerate_candidates(task: SearchTask) -> Iterator[RegularSpec]:
-    """Stream candidate designs for a task.
-
-    Exhaustive mode streams every tail subset whose labels complete the
-    rank (always true at 16 runs); catalog mode streams only role
-    assignments passing the admissibility conditions.
-    """
-    for chunk in _raw_candidates(task)[1]:
-        for labels in chunk.tolist():
-            try:
-                spec = RegularSpec(r=task.r, columns=labels)
-            except DesignError:
-                continue
-            if task.mode == "catalog" and not check_conditions_regular(spec).ok:
-                continue
-            yield spec
+        yield np.hstack([np.broadcast_to(np.array(_ROLES), (len(tail), 4)), tail]), identity
 
 
 def _evaluate_chunk(
-    args: tuple[int, np.ndarray],
+    args: tuple[int, np.ndarray, np.ndarray],
 ) -> tuple[tuple[int, ...] | None, np.ndarray, int, int]:
-    """Evaluate one (rows, n) chunk of raw candidate labels.
+    """Evaluate one chunk: every assignment `designs[g, index[a]]`.
 
     Returns (best K values or None, labels of chunk-level K-minima,
     examined count, pruned count).  The chunk keeps every candidate tied
     with its own minimum, so merging chunk results loses no global tie.
-    The admissible candidates are evaluated in sub-batches of at most
-    `_BATCH_ELEMENTS` run-by-candidate entries.
+
+    K depends on an assignment only through its run histogram, so the
+    admissible assignments' histograms are deduplicated exactly and each
+    distinct one is scored once, in sub-batches; an assignment ties when
+    its histogram does.  Every step works on at most `_BATCH_ELEMENTS`
+    run-by-row entries.
     """
-    r, labels = args
-    admissible = np.flatnonzero(admissible_mask(r, labels))
+    r, designs, index = args
+    n = designs.shape[1]
+    admissible = np.flatnonzero(_assignment_mask(r, designs, index))
     step = max(1, _BATCH_ELEMENTS >> r)
+    hists = _run_histograms(r, designs, index, admissible, step)
+    # one opaque item per histogram: on the 25,020 of 32-run catalog n=9,
+    # np.unique(axis=0) took 295 ms and this void view 9 ms (2 vCPUs)
+    rows = hists.view(np.dtype((np.void, hists.itemsize * hists.shape[1]))).ravel()
+    distinct, inverse = np.unique(rows, return_inverse=True)
+    distinct = distinct.view(hists.dtype).reshape(len(distinct), hists.shape[1])
     best: tuple[int, ...] | None = None
-    ties: list[np.ndarray] = []
-    for start in range(0, len(admissible), step):
-        rows = admissible[start : start + step]
-        got = _batch_minimum(r, labels[rows], best)
+    winners: list[np.ndarray] = []
+    for start in range(0, len(distinct), step):
+        got = _batch_minimum(r, n, distinct[start : start + step], best)
         if got is None:
             continue
-        values, winners = got
+        values, alive = got
         if best is None or values < best:
-            best, ties = values, []
-        ties.append(labels[rows[winners]])
-    tied = np.concatenate(ties) if ties else labels[:0]
-    return best, tied, len(admissible), len(labels) - len(admissible)
+            best, winners = values, []
+        winners.append(start + alive)
+    won = np.zeros(len(distinct), dtype=bool)
+    if winners:
+        won[np.concatenate(winners)] = True
+    design, assignment = np.divmod(admissible[won[inverse]], len(index))
+    tied = designs[design[:, None], index[assignment]]
+    return best, tied, len(admissible), designs.shape[0] * len(index) - len(admissible)
 
 
 def _batch_minimum(
-    r: int, labels: np.ndarray, bound: tuple[int, ...] | None
+    r: int, n: int, hists: np.ndarray, bound: tuple[int, ...] | None
 ) -> tuple[tuple[int, ...], np.ndarray] | None:
-    """The batch's minimum K values and the rows attaining it, or None
-    once that minimum's prefix exceeds `bound`.
+    """The minimum K values over a batch of run histograms and the rows
+    attaining it, or None once that minimum's prefix exceeds `bound`.
 
     Pruning is batch-wise: after each block only the rows whose block
     equals the lexicographic minimum among the survivors go on, so the
@@ -280,11 +287,11 @@ def _batch_minimum(
     so a prefix that compares greater than the bound can never beat it,
     and one that compares smaller always does.
     """
-    ev = RegularBatchEvaluator(r, labels)
-    alive = np.arange(len(labels))
+    ev = RegularBatchEvaluator._of_histograms(r, n, hists)
+    alive = np.arange(len(hists))
     values: list[int] = []
     decided_better = bound is None
-    for l in range(2, ev.n - 1):
+    for l in range(2, n - 1):
         block = ev.block(l)
         keep = np.ones(len(block), dtype=bool)
         for column in block.T:
@@ -311,7 +318,7 @@ def _canonical_specs(r: int, labels: np.ndarray) -> tuple[RegularSpec, ...]:
     labels = labels[np.lexsort(labels.T[::-1])]
     fresh = np.ones(len(labels), dtype=bool)
     fresh[1:] = np.any(labels[1:] != labels[:-1], axis=1)
-    return regular_specs(r, labels[fresh])
+    return _spec_rows(r, labels[fresh])
 
 
 def canonicalize(minimizers: Iterable[RegularSpec]) -> tuple[RegularSpec, ...]:
@@ -348,17 +355,17 @@ def _merge(
 
 
 def _run_chunks(
-    chunks: Iterator[np.ndarray], r: int, workers: int
+    chunks: Iterator[_Chunk], r: int, workers: int
 ) -> tuple[tuple[int, ...] | None, np.ndarray | None, int, int]:
     """Evaluate and merge every chunk, in a pool of `workers` processes
     when there is more than one."""
     if workers == 1:
-        return _merge(_evaluate_chunk((r, chunk)) for chunk in chunks)
+        return _merge(_evaluate_chunk((r, *chunk)) for chunk in chunks)
     results = []
     with ProcessPoolExecutor(max_workers=workers) as pool:
         pending = set()
         for chunk in chunks:
-            pending.add(pool.submit(_evaluate_chunk, (r, chunk)))
+            pending.add(pool.submit(_evaluate_chunk, (r, *chunk)))
             if len(pending) >= workers * 2:
                 done, pending = wait(pending, return_when=FIRST_COMPLETED)
                 results.extend(f.result() for f in done)
@@ -368,7 +375,7 @@ def _run_chunks(
 
 
 def _search(
-    runs: int, n: int, raw: int, chunks: Iterator[np.ndarray], workers: int
+    runs: int, n: int, raw: int, chunks: Iterator[_Chunk], workers: int
 ) -> SearchResult:
     """Run `raw` candidates, given as label chunks, through the evaluation
     and assemble the result.

@@ -104,6 +104,14 @@ class TestQPolynomial:
         assert table.dtype == object
         assert table[34, 68] == comb(68, 34) > 2**63
 
+    @pytest.mark.parametrize("n", [9, 20, 61, 72])
+    def test_table_matches_scalar_recursion(self, n):
+        # the table runs the recursion over every c at once; n=72 holds
+        # Python ints
+        table = q_polynomial_table(n, n - 2)
+        assert table.shape == (n - 1, n - 3)
+        assert table.tolist() == [[q_polynomial(l, c, n) for c in range(n - 3)] for l in range(n - 1)]
+
     def test_table_is_shared_and_read_only(self):
         table = q_polynomial_table(9, 7)
         assert q_polynomial_table(9, 7) is table

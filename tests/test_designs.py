@@ -5,7 +5,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from condma import designs
+from condma import designs, search
 from condma.designs import (
     MAX_R,
     ConditionReport,
@@ -206,6 +206,29 @@ class TestAdmissibleMask:
         want = [spec_and_conditions(5, row) for row in raw]
         assert got == want
         assert 0 < sum(want) < len(want)
+
+    @pytest.mark.parametrize("symmetry_pruning", [True, False])
+    def test_per_design_mask_over_the_role_index(self, symmetry_pruning):
+        # column sets that are valid, repeat a label, hold an out-of-range
+        # label or fall short of rank r, under every role assignment
+        rng = random.Random(7)
+        for r, n in ((4, 5), (4, 7), (5, 6), (5, 8)):
+            sets = []
+            for kind in range(24):
+                row = rng.sample(range(1, 1 << r), n)
+                if kind % 4 == 1:
+                    row[rng.randrange(n)] = row[rng.randrange(n)]
+                elif kind % 4 == 2:
+                    row[rng.randrange(n)] = rng.choice((0, -1, 1 << r))
+                elif kind % 4 == 3:
+                    row = rng.sample(range(1, 1 << (r - 1)), n)
+                sets.append(sorted(row))
+            columns = np.array(sets, dtype=np.int64)
+            index = search._role_index(n, symmetry_pruning)
+            got = designs._assignment_mask(r, columns, index)
+            want = [[spec_and_conditions(r, row) for row in labels] for labels in columns[:, index].tolist()]
+            assert got.tolist() == want
+            assert 0 < got.sum() < got.size
 
     def test_unsupported_sizes_reject_everything(self):
         assert not admissible_mask(4, np.array([[1, 2, 4, 8]])).any()

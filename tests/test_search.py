@@ -1,17 +1,25 @@
 import random
 from itertools import combinations, permutations
 
+import numpy as np
 import pytest
 
 from condma import search
-from condma.aberration import compare_k, k_sequence_fast
-from condma.designs import DesignError, RegularSpec, check_conditions_regular, expand
+from condma.aberration import RegularBatchEvaluator, compare_k, k_sequence_fast
+from condma.catalogs import fixtures
+from condma.designs import (
+    DesignError,
+    RegularSpec,
+    admissible_mask,
+    check_conditions_regular,
+    expand,
+    regular_specs,
+)
 from condma.modelmat import optimality_check
 from condma.search import (
     SearchResult,
     SearchTask,
     canonicalize,
-    enumerate_candidates,
     search_ma,
     search_within_columns,
 )
@@ -53,21 +61,36 @@ class TestTaskValidation:
             SearchTask(runs=16, n=6, workers=0)
 
 
+def raw_labels(task):
+    """Every raw candidate label tuple of a task, as one (rows, n) array."""
+    count, chunks = search._raw_candidates(task)
+    labels = np.concatenate([designs[:, index].reshape(-1, task.n) for designs, index in chunks])
+    assert len(labels) == count
+    return labels
+
+
+def admissible_specs(task):
+    """The raw candidates that pass the admissibility filter, as specs."""
+    labels = raw_labels(task)
+    return regular_specs(task.r, labels[admissible_mask(task.r, labels)])
+
+
 class TestEnumeration:
     def test_exhaustive_candidate_counts(self):
-        # roles pinned to the basic labels, tails drawn from the other 11
-        assert sum(1 for _ in enumerate_candidates(SearchTask(runs=16, n=5))) == 11
-        assert sum(1 for _ in enumerate_candidates(SearchTask(runs=16, n=12))) == 165
+        # roles pinned to the basic labels, tails drawn from the other 11;
+        # every tuple builds a spec
+        for n, count in ((5, 11), (12, 165)):
+            labels = raw_labels(SearchTask(runs=16, n=n))
+            assert len(regular_specs(4, labels)) == count
 
     def test_exhaustive_roles_are_basic(self):
-        for spec in enumerate_candidates(SearchTask(runs=16, n=6)):
-            assert spec.columns[:4] == (1, 2, 4, 8)
+        assert (raw_labels(SearchTask(runs=16, n=6))[:, :4] == (1, 2, 4, 8)).all()
 
     def test_catalog_mode_filters_conditions(self, tmp_path):
         path = tmp_path / "one.cat"
         path.write_text("16 4\n6: 1 2 4 8 3 15\n")
         task = SearchTask(runs=16, n=6, mode="catalog", catalog_path=str(path))
-        specs = list(enumerate_candidates(task))
+        specs = admissible_specs(task)
         # at most 6*5*4*3 ordered role picks, halved by pair swap, then
         # condition filtering
         assert 0 < len(specs) <= 180
@@ -79,8 +102,8 @@ class TestEnumeration:
         path = tmp_path / "one.cat"
         path.write_text("16 4\n5: 1 2 4 8 15\n")
         base = dict(runs=16, n=5, mode="catalog", catalog_path=str(path))
-        pruned = list(enumerate_candidates(SearchTask(**base)))
-        full = list(enumerate_candidates(SearchTask(**base, symmetry_pruning=False)))
+        pruned = admissible_specs(SearchTask(**base))
+        full = admissible_specs(SearchTask(**base, symmetry_pruning=False))
         assert len(full) == 2 * len(pruned)
         # every dropped candidate is the pair swap of a kept one
         kept = {s.columns for s in pruned}
@@ -101,8 +124,9 @@ class TestEnumeration:
         ],
     )
     def test_raw_count_matches_stream(self, task):
+        # a chunk of G designs and A index rows holds G A candidates
         count, chunks = search._raw_candidates(task)
-        assert count == sum(len(chunk) for chunk in chunks)
+        assert count == sum(len(designs) * len(index) for designs, index in chunks)
         res = search_ma(task)
         assert res.candidates_examined + res.pruned == count
 
@@ -195,7 +219,7 @@ class TestDeterminism:
         head = search_ma(task)
         monkeypatch.setattr(search, "_CHUNK", 500)
         count, chunks = search._raw_candidates(task)
-        sizes = [len(chunk) for chunk in chunks]
+        sizes = [len(designs) * len(index) for designs, index in chunks]
         assert sum(sizes) == count
         assert max(sizes) == 500
         assert len(sizes) == 4 * count // 1512
@@ -208,11 +232,15 @@ class TestDeterminism:
         assert pool_starts == [2]
 
     def test_one_row_sub_batches_match(self, monkeypatch):
-        tasks = (SearchTask(runs=16, n=8), SearchTask(runs=32, n=6, mode="catalog"))
-        default = [search_ma(task) for task in tasks]
+        searches = (
+            lambda: search_ma(SearchTask(runs=16, n=8)),
+            lambda: search_ma(SearchTask(runs=32, n=6, mode="catalog")),
+            lambda: search_within_columns(32, (16, 11, 14, 19, 1, 2, 4, 8, 7, 13, 21)),
+        )
+        default = [run() for run in searches]
         monkeypatch.setattr(search, "_BATCH_ELEMENTS", 1)
-        for task, want in zip(tasks, default):
-            got = search_ma(task)
+        for run, want in zip(searches, default):
+            got = run()
             assert (got.best_k, got.minimizers) == (want.best_k, want.minimizers)
             assert (got.candidates_examined, got.pruned) == (want.candidates_examined, want.pruned)
 
@@ -333,6 +361,21 @@ class TestWithinColumns:
         # the row's own printed assignment attains the optimum
         row_k = k_sequence_fast(expand(RegularSpec(r=5, columns=columns)))
         assert compare_k(res.best_k, row_k) == 0
+
+    def test_minimizers_are_every_assignment_at_the_best(self):
+        # 7,920 admissible assignments share 40 run histograms; scoring each
+        # distinct one once must keep every assignment tied at the optimum
+        row = next(row for row in fixtures(32) if row.n == 13 and row.status == "advisory")
+        res = search_within_columns(32, row.columns)
+        labels = np.sort(row.columns)[search._role_index(13, True)]
+        labels = labels[admissible_mask(5, labels)]
+        assert res.candidates_examined == len(labels) == 7920
+        ev = RegularBatchEvaluator(5, labels)
+        values = np.concatenate([ev.block(l) for l in range(2, 12)], axis=1).tolist()
+        best = min(map(tuple, values))
+        assert res.best_k.values == best
+        at_best = [columns for columns, k in zip(labels.tolist(), values) if tuple(k) == best]
+        assert res.minimizers == canonicalize(RegularSpec(5, columns) for columns in at_best)
 
     def test_column_order_does_not_matter(self):
         columns = [16, 11, 14, 19, 1, 2, 4, 8, 7, 13, 21]
