@@ -31,27 +31,33 @@ Each chunk is filtered per design (`designs._assignment_mask`): validity
 (labels in range, distinct, of full rank) once per column set, then the
 admissibility conditions as three tests on the role pair sums, b1^b2 and
 b3^b4 both outside the column set and unequal.  K depends on an
-assignment only through its run histogram H[p, c] (see `aberration`), so
-each admissible assignment's histogram is built from its design's column
-parities and its four role parities (`aberration._run_histograms`), the
-chunk's histograms are deduplicated exactly, and only the distinct ones
-are scored.  Candidates are compared by exact lexicographic order on the
-integer K-sequence, in sub-batches of distinct histograms by
-`aberration.RegularBatchEvaluator`, one l-block at a time for the whole
-sub-batch.  Pruning is batch-wise: after each block only the rows equal
-to the sub-batch's lexicographic minimum go on, and the sub-batch is
-dropped as soon as that minimum's prefix exceeds the best sequence seen
-so far.  Every assignment whose histogram attains the minimum is a
-chunk-level tie, so all K-equal minima are returned.
+assignment only through its run histogram H[p, c] (see `aberration`).
+In catalog and within-columns chunks, where a design has many
+assignments and few distinct histograms, the admissible assignments are
+first grouped by an exact signature read from one Walsh-Hadamard
+transform of the design's run weights (`_signature_classes`), and one
+assignment per signature class goes on.  Those assignments' histograms
+(in exhaustive chunks, every admissible assignment's) are built from
+the design's column parities and the four role parities
+(`aberration._run_histograms`), deduplicated exactly, and only the
+distinct ones are scored.  Candidates are compared by exact
+lexicographic order on the integer K-sequence, in sub-batches of
+distinct histograms by `aberration.RegularBatchEvaluator`, one l-block
+at a time for the whole sub-batch.  Pruning is batch-wise: after each
+block only the rows equal to the sub-batch's lexicographic minimum go
+on, and the sub-batch is dropped as soon as that minimum's prefix
+exceeds the best sequence seen so far.  Every assignment whose
+histogram attains the minimum is a chunk-level tie, so all K-equal
+minima are returned.
 
 Each chunk reports its own exact minimum and the candidates achieving
 it, so the merged result is identical for any worker count, chunk order
 or sub-batch size.  Chunks go to a process pool only when the raw
 candidates, counted before any is generated, fill at least two chunks
 per worker; smaller searches run in-process.  The ties stay arrays up to
-the end, where `_canonical_specs` sorts and dedupes them with
-`np.lexsort` and builds their specs without validating them again: every
-tie passed the filter.
+the end, where `_canonical_specs` sorts and dedupes them as packed int64
+words and builds their specs without validating them again: every tie
+passed the filter.
 """
 
 from __future__ import annotations
@@ -137,8 +143,9 @@ class SearchResult:
     conditions.  ``minimizers`` holds every condition-passing candidate
     whose K-sequence equals ``best_k`` exactly, in canonical form and
     order.  ``candidates_examined`` counts every admissible candidate
-    whose K was determined, shared or not: scored itself, or through
-    another candidate with the same run histogram and so the same K.
+    whose K was determined, shared or not: scored itself, or shared
+    through an equal signature or histogram with a scored candidate, and
+    so of the same K.
     ``pruned`` counts candidates dropped beforehand by the admissibility
     filter (or rank filter).  Both counters are partition independent;
     only ``wall_time`` varies between reruns.
@@ -166,30 +173,32 @@ def _catalog_for(task: SearchTask) -> CatalogFile:
 
 
 def _assignment_count(n: int, symmetry_pruning: bool) -> int:
-    """How many label tuples `_role_assignments` yields for n distinct columns."""
+    """How many rows `_role_index(n, symmetry_pruning)` holds."""
     return math.perm(n, 4) // (2 if symmetry_pruning else 1)
-
-
-def _role_assignments(
-    columns: Sequence[int], symmetry_pruning: bool
-) -> Iterator[tuple[int, ...]]:
-    """Ordered label tuples (roles first, tail sorted) for one column set."""
-    colset = set(columns)
-    for roles in itertools.permutations(columns, 4):
-        if symmetry_pruning and (roles[0], roles[1]) > (roles[2], roles[3]):
-            continue
-        tail = sorted(colset.difference(roles))
-        yield roles + tuple(tail)
 
 
 @lru_cache(maxsize=16)
 def _role_index(n: int, symmetry_pruning: bool) -> np.ndarray:
-    """`_role_assignments(range(n), ...)` as a read-only (assignments, n)
-    array of column positions, in the smallest dtype that holds them: the
-    table stays cached, and as intp it held 2.8 MB at n=16."""
-    flat = itertools.chain.from_iterable(_role_assignments(range(n), symmetry_pruning))
-    count = _assignment_count(n, symmetry_pruning) * n
-    index = np.fromiter(flat, dtype=np.min_scalar_type(n), count=count).reshape(-1, n)
+    """Every ordered choice of four role positions out of n, in
+    `itertools.permutations(range(n), 4)` order, each followed by the other
+    positions ascending: a read-only (assignments, n) array in the smallest
+    dtype that holds n (the table stays cached; as intp it held 2.8 MB at
+    n=16).  With symmetry pruning, of two choices that swap the pairs only
+    the one whose first pair starts lower is kept.
+
+    Built from the product of four position ranges, whose lexicographic
+    order the filters keep: 6 ms cold at n=16 on 2 vCPUs, where one Python
+    `sorted` per `permutations` tuple took 35-57 ms.
+    """
+    small = np.min_scalar_type(n)
+    b1, b2, b3, b4 = np.indices((n,) * 4, dtype=small).reshape(4, -1)
+    keep = (b1 != b2) & (b3 != b4) & (b1 != b4) & (b2 != b3) & (b2 != b4)
+    keep &= b1 < b3 if symmetry_pruning else b1 != b3
+    roles = np.stack([b1[keep], b2[keep], b3[keep], b4[keep]], axis=1)
+    free = np.ones((len(roles), n), dtype=bool)
+    np.put_along_axis(free, roles.astype(np.intp), False, axis=1)
+    tail = np.broadcast_to(np.arange(n, dtype=small), free.shape)[free].reshape(len(roles), n - 4)
+    index = np.concatenate([roles, tail], axis=1)
     index.setflags(write=False)
     return index
 
@@ -243,19 +252,25 @@ def _evaluate_chunk(
     K depends on an assignment only through its run histogram, so the
     admissible assignments' histograms are deduplicated exactly and each
     distinct one is scored once, in sub-batches; an assignment ties when
-    its histogram does.  Every step works on at most `_BATCH_ELEMENTS`
-    run-by-row entries.
+    its histogram does.  When the index holds more than one assignment per
+    design (catalog and within-columns chunks), the assignments are first
+    grouped by their exact signature (`_signature_classes`) and only one
+    histogram per class is built.  Every step works on at most
+    `_BATCH_ELEMENTS` run-by-row entries.
     """
     r, designs, index = args
     n = designs.shape[1]
     admissible = np.flatnonzero(_assignment_mask(r, designs, index))
     step = max(1, _BATCH_ELEMENTS >> r)
-    hists = _run_histograms(r, designs, index, admissible, step)
-    # one opaque item per histogram: on the 25,020 of 32-run catalog n=9,
-    # np.unique(axis=0) took 295 ms and this void view 9 ms (2 vCPUs)
-    rows = hists.view(np.dtype((np.void, hists.itemsize * hists.shape[1]))).ravel()
-    distinct, inverse = np.unique(rows, return_inverse=True)
+    picks, shared = admissible, None
+    if len(index) > 1:
+        reps, shared = _signature_classes(r, designs, index, admissible)
+        picks = admissible[reps]
+    hists = _run_histograms(r, designs, index, picks, step)
+    distinct, inverse = np.unique(_opaque_rows(hists), return_inverse=True)
     distinct = distinct.view(hists.dtype).reshape(len(distinct), hists.shape[1])
+    if shared is not None:
+        inverse = inverse[shared]
     best: tuple[int, ...] | None = None
     winners: list[np.ndarray] = []
     for start in range(0, len(distinct), step):
@@ -272,6 +287,88 @@ def _evaluate_chunk(
     design, assignment = np.divmod(admissible[won[inverse]], len(index))
     tied = designs[design[:, None], index[assignment]]
     return best, tied, len(admissible), designs.shape[0] * len(index) - len(admissible)
+
+
+def _opaque_rows(rows: np.ndarray) -> np.ndarray:
+    """A C-contiguous 2-D array as one `np.void` item per row, which
+    `np.unique` compares whole: on the 25,020 histograms of 32-run catalog
+    n=9, np.unique(axis=0) took 295 ms and this view 9 ms (2 vCPUs)."""
+    return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
+
+
+def _signature_classes(
+    r: int, designs: np.ndarray, index: np.ndarray, admissible: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Group admissible assignments into classes with equal run histograms,
+    without building the histograms.
+
+    `admissible` holds the ascending flat positions g A + a of the
+    assignments `designs[g, index[a]]`.  Returns (reps, inverse): `reps`
+    the ascending positions into `admissible` of one assignment per class,
+    and `inverse[i]` the position in `reps` of admissible[i]'s class.
+
+    The signature.  For a design, let w(v) be the number of odd columns at
+    run v, <b_j, v> = 1, and take its weight spectrum
+
+        F[y, x] = sum_v (-1)**<y, v> [w(v) = x],   y < N, x = 0..n,
+
+    one Walsh-Hadamard transform over the runs.  As |F| <= N it is exact in
+    int64 at every r.  An assignment with roles b_1..b_4 reads F at the 16
+    points y_u = XOR of the b_t with u_t = 1 (u = 0..15) of its role span;
+    its signature is the class ids of those 16 rows of F.
+
+    Why equal signatures give equal histograms.  With p(v) the role parity
+    pattern, u . p(v) = sum_t u_t <b_t, v> = <y_u, v> mod 2, so
+    (-1)**(u . p(v)) = (-1)**<y_u, v> and
+
+        #{v : p(v) = p, w(v) = x} = 1/16 sum_u (-1)**(u . p) F[y_u, x].
+
+    By `aberration._run_histograms`, c(v) = (n-4) - w(v) + popcount(p(v)),
+    so H[p, c] is the count at x = (n-4) - c + popcount(p): a function of
+    the 16 rows F[y_u] alone, for any design with the same n.  Equal
+    signatures therefore give equal H and equal K, across designs too.
+    Conversely, every count with w(v) = x lies in H (popcount(p) <= w(v)
+    <= popcount(p) + n-4), and the 16 points y_u are distinct (the roles
+    are independent), so the transform inverts: equal H give equal rows
+    F[y_u], and sharing class ids makes the classes exactly H's.
+
+    Designs are handled a step at a time, each step's spectra within
+    `_BATCH_ELEMENTS` entries or one design's N (n+1).  Class ids are
+    shared within a step and kept distinct between steps, so the caller
+    still dedupes the representatives' histograms.
+    """
+    runs, n = 1 << r, designs.shape[1]
+    small = np.min_scalar_type(runs - 1)
+    v = np.arange(runs, dtype=small)
+    design, assignment = np.divmod(admissible, len(index))
+    signature = np.empty((len(admissible), 16), dtype=np.min_scalar_type(len(designs) * runs))
+    used = np.unique(design)
+    per = max(1, _BATCH_ELEMENTS // (runs * (n + 1)))
+    count = 0
+    for lo in range(0, len(used), per):
+        group = used[lo : lo + per]
+        odd = np.bitwise_count(designs[group].astype(small)[:, :, None] & v) & 1
+        weight = odd.sum(axis=1)  # (designs, N)
+        spectrum = (weight[:, :, None] == np.arange(n + 1)).astype(np.int64)
+        half = 1
+        while half < runs:  # one butterfly per run bit
+            pair = spectrum.reshape(len(group), -1, 2, half, n + 1)
+            spectrum = np.stack([pair[:, :, 0] + pair[:, :, 1], pair[:, :, 0] - pair[:, :, 1]], axis=2)
+            half *= 2
+        _, ids = np.unique(_opaque_rows(spectrum.reshape(-1, n + 1)), return_inverse=True)
+        ids = ids.reshape(len(group), runs) + count
+        count = int(ids.max()) + 1
+        start, stop = np.searchsorted(design, [group[0], group[-1] + 1])
+        roles = designs[design[start:stop, None], index[assignment[start:stop], :4]].astype(small)
+        span = np.zeros((stop - start, 1), dtype=small)
+        for t in range(4):  # column u + 2**t is column u XOR b_t
+            span = np.concatenate([span, span ^ roles[:, t : t + 1]], axis=1)
+        signature[start:stop] = ids[np.searchsorted(group, design[start:stop])[:, None], span]
+    _, first, inverse = np.unique(_opaque_rows(signature), return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    return first[order], rank[inverse]
 
 
 def _batch_minimum(
@@ -312,26 +409,27 @@ def _batch_minimum(
 
 
 def _canonical_specs(r: int, labels: np.ndarray) -> tuple[RegularSpec, ...]:
-    """Canonical form of a (rows, n) label array: sort each row's
-    traditional columns, sort the rows, drop repeats, one spec per row."""
-    labels = np.concatenate([labels[:, :4], np.sort(labels[:, 4:], axis=1)], axis=1)
-    labels = labels[np.lexsort(labels.T[::-1])]
-    fresh = np.ones(len(labels), dtype=bool)
-    fresh[1:] = np.any(labels[1:] != labels[:-1], axis=1)
-    return _spec_rows(r, labels[fresh])
+    """Canonical form of a (rows, n) array of labels below 2**r: sort each
+    row's traditional columns, sort the rows, drop repeats, one spec per row.
 
-
-def canonicalize(minimizers: Iterable[RegularSpec]) -> tuple[RegularSpec, ...]:
-    """Sort each spec's traditional columns, then sort and dedupe the list.
-
-    The specs must share r and n.
+    Rows are compared as int64 words of 63 // r labels each, the first
+    column most significant, so the sort takes ceil(n / (63 // r)) keys
+    instead of n: at r=5, 20,160 random rows of 16 labels took 8-11 ms
+    against 23 ms with a 16-key `np.lexsort` (2 vCPUs).
     """
-    specs = list(minimizers)
-    if not specs:
-        return ()
-    if len({(spec.r, spec.n) for spec in specs}) > 1:
-        raise DesignError("cannot canonicalize specs of different r or n together")
-    return _canonical_specs(specs[0].r, np.array([spec.columns for spec in specs]))
+    rows, n = labels.shape
+    labels = labels.copy()
+    labels[:, 4:].sort(axis=1)
+    per = 63 // r
+    words = np.zeros((rows, -(-n // per)), dtype=np.int64)
+    for j in range(n):
+        words[:, j // per] |= labels[:, j] << r * (per - 1 - j % per)
+    order = np.lexsort(words.T[::-1])
+    words = words[order]
+    fresh = np.ones(rows, dtype=bool)
+    fresh[1:] = np.any(words[1:] != words[:-1], axis=1)
+    labels = labels[order[fresh]]  # frees the sorted copy
+    return _spec_rows(r, labels)
 
 
 def _merge(

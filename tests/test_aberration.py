@@ -4,6 +4,8 @@ from math import comb
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from condma import aberration
 from condma.aberration import (
@@ -20,7 +22,7 @@ from condma.aberration import (
     q_polynomial_table,
     q_value,
 )
-from condma.designs import RegularSpec, expand
+from condma.designs import DesignError, RegularSpec, check_conditions_regular, expand
 from condma.modelmat import build_x_block
 from condma.wordcounts import k_from_counts
 from helpers import random_admissible_spec, random_valid_spec
@@ -220,6 +222,55 @@ class TestRouteAgreement:
         for l in range(2, ROW6.n - 1):
             flat.extend(ev.block(l))
         assert tuple(flat) == ev.sequence().values == k_sequence_fast(mat).values
+
+
+@st.composite
+def relabeled_designs(draw):
+    """(r, labels): roles (1, 2, 4, 8) and a tail drawn from the labels
+    that keep them admissible, moved by a drawn GF(2) map of the r basic
+    factors.  An invertible map keeps the design admissible; about one
+    draw in four makes the map singular, which collapses the design's rank
+    and which `RegularSpec` refuses."""
+    r = draw(st.integers(4, 7))
+    pool = [x for x in range(1, 1 << r) if x not in (1, 2, 4, 8, 3, 12)]
+    n = draw(st.integers(5, min(4 + len(pool), 24)))
+    tail = draw(st.permutations(pool))[: n - 4]
+    images = [1 << i for i in draw(st.permutations(range(r)))]
+    for i, j in draw(st.lists(st.tuples(st.integers(0, r - 1), st.integers(0, r - 1)), max_size=2 * r)):
+        if i != j:
+            images[i] ^= images[j]
+    if draw(st.integers(0, 3)) == 3:
+        images[0] = images[1]
+
+    def moved(label):
+        out = 0
+        for bit, image in enumerate(images):
+            if label >> bit & 1:
+                out ^= image
+        return out
+
+    return r, tuple(moved(x) for x in (1, 2, 4, 8, *tail))
+
+
+class TestRoutesAgreeUpToR7:
+    """Every drawn design with r <= 7 is either admissible and gets one K
+    from the fast and the word-count routes (and, at N <= 32 and n <= 12,
+    the direct route), or is refused with `DesignError`."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(relabeled_designs())
+    def test_fast_counts_and_direct_agree(self, design):
+        r, labels = design
+        try:
+            spec = RegularSpec(r, labels)
+        except DesignError:
+            return
+        assert check_conditions_regular(spec).ok
+        mat = expand(spec)
+        want = k_from_counts(spec)
+        assert k_sequence_fast(mat) == want
+        if spec.runs <= 32 and spec.n <= 12:
+            assert k_sequence_direct(mat) == want
 
 
 class TestRegularBatch:

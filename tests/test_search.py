@@ -1,3 +1,4 @@
+import hashlib
 import random
 from itertools import combinations, permutations
 
@@ -5,11 +6,12 @@ import numpy as np
 import pytest
 
 from condma import search
-from condma.aberration import RegularBatchEvaluator, compare_k, k_sequence_fast
+from condma.aberration import RegularBatchEvaluator, _run_histograms, compare_k, k_sequence_fast
 from condma.catalogs import fixtures
 from condma.designs import (
     DesignError,
     RegularSpec,
+    _assignment_mask,
     admissible_mask,
     check_conditions_regular,
     expand,
@@ -19,11 +21,27 @@ from condma.modelmat import optimality_check
 from condma.search import (
     SearchResult,
     SearchTask,
-    canonicalize,
     search_ma,
     search_within_columns,
 )
 from condma.wordcounts import k_from_counts
+from helpers import random_admissible_spec
+
+
+def canonicalize(specs):
+    """Reference canonical form: each spec's traditional columns sorted,
+    then the distinct specs in tuple order."""
+    forms = {(spec.r, spec.columns[:4] + tuple(sorted(spec.columns[4:]))) for spec in specs}
+    return tuple(RegularSpec(r, columns) for r, columns in sorted(forms))
+
+
+def role_assignments(columns, symmetry_pruning):
+    """Reference role assignments of one column set: every ordered choice
+    of four role columns, pair swaps once when pruning, tail sorted."""
+    for roles in permutations(columns, 4):
+        if symmetry_pruning and (roles[0], roles[1]) > (roles[2], roles[3]):
+            continue
+        yield roles + tuple(sorted(set(columns).difference(roles)))
 
 
 class TestTaskValidation:
@@ -250,29 +268,52 @@ class TestDeterminism:
         assert a.best_k == b.best_k and a.minimizers == b.minimizers
 
 
+class TestRoleIndex:
+    @pytest.mark.parametrize("symmetry_pruning", [True, False])
+    def test_table_matches_reference(self, symmetry_pruning):
+        for n in range(5, 17):
+            index = search._role_index(n, symmetry_pruning)
+            want = np.array(list(role_assignments(range(n), symmetry_pruning)))
+            assert index.dtype == np.uint8 and not index.flags.writeable
+            assert len(index) == search._assignment_count(n, symmetry_pruning)
+            assert np.array_equal(index, want)
+
+
 class TestCanonicalize:
+    """`_canonical_specs` against the pure-Python reference `canonicalize`."""
+
+    @staticmethod
+    def canonical(specs):
+        return search._canonical_specs(specs[0].r, np.array([spec.columns for spec in specs]))
+
     def test_identity(self):
         spec = RegularSpec(r=4, columns=(1, 2, 4, 8, 15))
-        assert canonicalize([spec]) == (spec,)
+        assert self.canonical([spec]) == (spec,) == canonicalize([spec])
 
     def test_tail_order_merges(self):
         a = RegularSpec(r=4, columns=(1, 2, 4, 8, 5, 14))
         b = RegularSpec(r=4, columns=(1, 2, 4, 8, 14, 5))
-        out = canonicalize([b, a])
-        assert out == (RegularSpec(r=4, columns=(1, 2, 4, 8, 5, 14)),)
+        assert self.canonical([b, a]) == (a,) == canonicalize([b, a])
 
     def test_distinct_minimizers_kept_in_order(self):
         a = RegularSpec(r=4, columns=(1, 2, 4, 8, 15, 5))
         b = RegularSpec(r=4, columns=(1, 2, 4, 8, 9, 6))
-        assert canonicalize([a, b]) == canonicalize([b, a])
-        assert len(canonicalize([a, b])) == 2
+        assert self.canonical([a, b]) == self.canonical([b, a]) == canonicalize([a, b])
+        assert len(self.canonical([a, b])) == 2
 
-    def test_mixed_sizes_rejected(self):
-        a = RegularSpec(r=4, columns=(1, 2, 4, 8, 15))
-        b = RegularSpec(r=4, columns=(1, 2, 4, 8, 5, 14))
-        assert canonicalize([]) == ()
-        with pytest.raises(DesignError):
-            canonicalize([a, b])
+    # r=4 packs 15 labels per word, r=5 12 and r=16 3: one, two and several
+    # words per row, with the last word partly filled
+    @pytest.mark.parametrize("r, n", [(4, 5), (4, 15), (5, 16), (5, 13), (16, 7), (16, 11)])
+    def test_packed_sort_matches_reference(self, r, n):
+        rng = np.random.default_rng(r * 100 + n)
+        labels = np.array([rng.permutation(np.arange(1, 1 << r))[:n] for _ in range(40)])
+        # repeats: whole rows, and rows that differ only in the tail's order
+        shuffled = labels[rng.integers(0, 40, size=30)].copy()
+        shuffled[:, 4:] = rng.permuted(shuffled[:, 4:], axis=1)
+        rows = np.concatenate([labels, labels[:10], shuffled])[rng.permutation(80)]
+        got = [spec.columns for spec in search._canonical_specs(r, rows)]
+        want = sorted({tuple(row[:4]) + tuple(sorted(row[4:])) for row in rows.tolist()})
+        assert got == want
 
 
 class TestSoundness:
@@ -399,3 +440,128 @@ class TestWithinColumns:
         res = search_within_columns(32, (1, 2, 4, 8, 16, 40, 50))
         assert not res.found
         assert (res.candidates_examined, res.pruned) == (0, 420)
+
+
+def signature_and_histogram_classes(r, designs, index):
+    """For every admissible assignment of a (G, n) array of sorted column
+    sets under `index`: its signature class and its run histogram class."""
+    admissible = np.flatnonzero(_assignment_mask(r, designs, index))
+    reps, signature = search._signature_classes(r, designs, index, admissible)
+    hists = _run_histograms(r, designs, index, admissible, len(admissible))
+    _, histogram = np.unique(search._opaque_rows(hists), return_inverse=True)
+    assert np.array_equal(signature[reps], np.arange(len(reps)))
+    return signature, histogram
+
+
+class TestSignatureClasses:
+    @pytest.mark.parametrize("r, n", [(4, 7), (5, 9), (6, 8), (7, 10)])
+    def test_each_signature_class_is_one_histogram_class(self, monkeypatch, r, n):
+        rng = random.Random(r * 10 + n)
+        designs = np.sort([random_admissible_spec(rng, r, n).columns for _ in range(5)], axis=1)
+        index = search._role_index(n, True)
+        for batch in (1, 1 << 20):  # one design per step, then all in one
+            monkeypatch.setattr(search, "_BATCH_ELEMENTS", batch)
+            signature, histogram = signature_and_histogram_classes(r, designs, index)
+            pairs = np.unique(np.stack([signature, histogram], axis=1), axis=0)
+            assert len(pairs) == signature.max() + 1  # a function of the signature
+        # within one step the classes are exactly the histogram classes
+        assert signature.max() == histogram.max()
+
+    @pytest.mark.parametrize(
+        "kind, n, classes, admissible",
+        [
+            ("own", 13, 40, 7920),
+            ("own", 14, 17, 11088),
+            ("own", 16, 1, 20160),
+            ("catalog", 6, 18, 636),
+            ("catalog", 7, 144, 2472),
+            ("catalog", 8, 711, 8100),
+            ("catalog", 9, 2662, 25020),
+        ],
+    )
+    def test_pinned_class_counts(self, monkeypatch, kind, n, classes, admissible):
+        if kind == "own":
+            row = next(row for row in fixtures(32) if row.n == n and row.status == "advisory")
+            designs = np.sort([row.columns], axis=1)
+        else:
+            designs = np.sort(search.bundled_catalog(32).designs_for(n), axis=1)
+        monkeypatch.setattr(search, "_BATCH_ELEMENTS", 1 << 20)  # every design in one step
+        signature, histogram = signature_and_histogram_classes(5, designs, search._role_index(n, True))
+        assert len(signature) == admissible
+        assert signature.max() + 1 == histogram.max() + 1 == classes
+
+
+def k_digest(values):
+    return hashlib.sha256(",".join(map(str, values)).encode()).hexdigest()[:16]
+
+
+OWN_COLUMNS = {row.n: row.columns for row in fixtures(32) if row.status == "advisory" and row.evaluable}
+
+
+class TestPinnedOutputs:
+    """Outputs recorded before the signature stage existed: a digest of the
+    best K, the minimizer count, the first and last minimizer, and the
+    examined and pruned counts."""
+
+    @pytest.mark.parametrize(
+        "run, k, count, first, last, examined, pruned",
+        [
+            (lambda: search_ma(SearchTask(16, 5)), "b070d6fd423d9f4a", 4,
+             (1, 2, 4, 8, 5), (1, 2, 4, 8, 15), 9, 2),
+            (lambda: search_ma(SearchTask(16, 6)), "32e8912055fdb3b5", 2,
+             (1, 2, 4, 8, 5, 15), (1, 2, 4, 8, 7, 13), 36, 19),
+            (lambda: search_ma(SearchTask(16, 7)), "c4c5a272be8f1e73", 8,
+             (1, 2, 4, 8, 5, 6, 15), (1, 2, 4, 8, 7, 13, 14), 84, 81),
+            (lambda: search_ma(SearchTask(16, 8)), "f92c2a13d087f30b", 4,
+             (1, 2, 4, 8, 5, 6, 11, 15), (1, 2, 4, 8, 7, 11, 13, 14), 126, 204),
+            (lambda: search_ma(SearchTask(16, 9)), "15e26a9daf2b8311", 4,
+             (1, 2, 4, 8, 5, 6, 10, 11, 15), (1, 2, 4, 8, 7, 10, 11, 13, 14), 126, 336),
+            (lambda: search_ma(SearchTask(16, 10)), "0ab81462e450ebff", 4,
+             (1, 2, 4, 8, 5, 6, 7, 9, 10, 11), (1, 2, 4, 8, 9, 10, 11, 13, 14, 15), 84, 378),
+            (lambda: search_ma(SearchTask(16, 11)), "a1175ce740823f35", 8,
+             (1, 2, 4, 8, 5, 6, 7, 9, 10, 11, 13), (1, 2, 4, 8, 7, 9, 10, 11, 13, 14, 15), 36, 294),
+            (lambda: search_ma(SearchTask(16, 12)), "4dfa3fc83aaaa9c4", 4,
+             (1, 2, 4, 8, 5, 6, 7, 9, 10, 11, 13, 14), (1, 2, 4, 8, 6, 7, 9, 10, 11, 13, 14, 15), 9, 156),
+            (lambda: search_ma(SearchTask(32, 6, mode="catalog")), "1f6b4a3718d47c6c", 252,
+             (1, 2, 4, 8, 16, 31), (16, 8, 31, 4, 1, 2), 636, 84),
+            (lambda: search_ma(SearchTask(32, 7, mode="catalog")), "c1099f272d515ffa", 108,
+             (1, 8, 4, 16, 2, 7, 27), (7, 27, 16, 2, 1, 4, 8), 2472, 888),
+            (lambda: search_ma(SearchTask(32, 8, mode="catalog")), "c17bd4852aaf74da", 22,
+             (1, 16, 2, 29, 4, 7, 8, 11), (11, 29, 16, 8, 1, 2, 4, 7), 8100, 4500),
+            (lambda: search_ma(SearchTask(32, 9, mode="catalog")), "4046d4eca60e5922", 91,
+             (1, 4, 7, 29, 2, 8, 11, 16, 19), (11, 30, 13, 16, 1, 2, 4, 7, 8), 25020, 18828),
+            (lambda: search_ma(SearchTask(32, 10, mode="catalog")), "ef3bad00900e4de8", 252,
+             (1, 4, 2, 8, 7, 11, 16, 19, 29, 30), (29, 19, 30, 11, 1, 2, 4, 7, 8, 16), 59916, 56004),
+            (lambda: search_ma(SearchTask(32, 8, mode="catalog", symmetry_pruning=False)),
+             "c17bd4852aaf74da", 44,
+             (1, 16, 2, 29, 4, 7, 8, 11), (29, 11, 8, 16, 1, 2, 4, 7), 16200, 9000),
+            (lambda: search_ma(SearchTask(16, 9, mode="catalog")), "15e26a9daf2b8311", 140,
+             (1, 8, 10, 4, 2, 3, 5, 12, 15), (10, 4, 12, 5, 1, 2, 3, 8, 15), 1404, 6156),
+            (lambda: search_ma(SearchTask(32, 8, force=True)), "c17bd4852aaf74da", 16,
+             (1, 2, 4, 8, 16, 21, 27, 30), (1, 2, 4, 8, 19, 22, 24, 29), 12524, 5026),
+            (lambda: search_within_columns(32, OWN_COLUMNS[13], workers=2), "677d0f3a23fdd223", 288,
+             (1, 8, 11, 19, 2, 4, 7, 13, 14, 16, 21, 22, 25),
+             (14, 22, 21, 2, 1, 4, 7, 8, 11, 13, 16, 19, 25), 7920, 660),
+            (lambda: search_within_columns(32, OWN_COLUMNS[14], workers=2), "f519b88701982e0c", 672,
+             (1, 4, 8, 7, 2, 11, 13, 14, 16, 19, 21, 22, 25, 26),
+             (22, 14, 26, 13, 1, 2, 4, 7, 8, 11, 16, 19, 21, 25), 11088, 924),
+            (lambda: search_within_columns(32, OWN_COLUMNS[16], workers=2), "b577846690b40124", 20160,
+             (1, 2, 4, 8, 7, 11, 13, 14, 16, 19, 21, 22, 25, 26, 28, 31),
+             (28, 26, 31, 22, 1, 2, 4, 7, 8, 11, 13, 14, 16, 19, 21, 25), 20160, 1680),
+            (lambda: search_ma(SearchTask(32, 12, mode="catalog", workers=2)), "da6803e833088913", 128,
+             (1, 14, 2, 16, 3, 4, 5, 8, 9, 22, 26, 29), (13, 19, 14, 1, 2, 4, 7, 8, 11, 16, 21, 25),
+             215880, 312780),
+        ],
+        ids=[
+            *(f"16-exhaustive-n{n}" for n in range(5, 13)),
+            *(f"32-catalog-n{n}" for n in range(6, 11)),
+            "32-catalog-n8-unpruned", "16-catalog-n9", "32-exhaustive-n8",
+            "own-columns-n13", "own-columns-n14", "own-columns-n16", "32-catalog-n12-pooled",
+        ],
+    )
+    def test_search_output(self, run, k, count, first, last, examined, pruned):
+        res = run()
+        assert k_digest(res.best_k.values) == k
+        assert len(res.minimizers) == count
+        assert (res.minimizers[0].columns, res.minimizers[-1].columns) == (first, last)
+        assert (res.candidates_examined, res.pruned) == (examined, pruned)
