@@ -56,21 +56,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import comb
 
 import numpy as np
 
-from .designs import as_design_matrix
-from .modelmat import build_x_block
+from .designs import DesignError, as_design_matrix
+from .modelmat import _members, _weight_rows, _x_block
 
 __all__ = [
     "KSequence",
     "entry_labels",
     "compare_k",
-    "k_direct",
     "k_sequence_direct",
     "q_polynomial",
     "q_polynomial_table",
-    "agreement_counts",
     "q_value",
     "FastEvaluator",
     "RegularBatchEvaluator",
@@ -122,25 +121,37 @@ def compare_k(a: KSequence, b: KSequence) -> int:
     return 0
 
 
-def k_direct(matrix: np.ndarray, s: int, l: int, h: int) -> int:
-    """N**2 * K_sl(h) by materializing the X blocks (reference route)."""
-    mat = as_design_matrix(matrix)
-    gram = build_x_block(mat, h, 1).T @ build_x_block(mat, s, l)
-    return int((gram.astype(np.int64) ** 2).sum())
+# Entries in the largest X block the direct route will build (512 MiB in float64).
+_DIRECT_ENTRIES = 1 << 26
 
 
 def k_sequence_direct(matrix: np.ndarray) -> KSequence:
-    """Full K sequence by the direct route."""
+    """Full K sequence by the direct route, one X_sl block at a time.
+
+    Each entry is the squared Frobenius norm of [X_01, X_11]^T X_sl, split
+    by h.  The products run in float64 and stay exact: a Gram entry is at
+    most N, and a block's row sum of squares at most |class| N**2, below
+    2**53 for any block the size limit admits.  Raises `DesignError` before
+    building anything when N times the largest class size exceeds 2**26.
+    """
     mat = as_design_matrix(matrix)
-    n = mat.shape[1]
-    xh = [build_x_block(mat, h, 1).T for h in (0, 1)]
+    runs, n = mat.shape
+    size = max((4 if s else 1) * comb(n - 2 - s, (n - 2 - s) // 2) for s in (0, 1, 2))
+    if runs * size > _DIRECT_ENTRIES:
+        raise DesignError(
+            f"the direct route needs an X block of {runs} x {size} = {runs * size} entries, "
+            f"over its limit of 2**26"
+        )
+    minus = (mat < 0).astype(np.float64)
+    tails = _weight_rows(n - 4, n - 4)
+    xh = np.hstack([_x_block(minus, _members(n, h, 1, tails)) for h in (0, 1)]).T
     values: list[int] = []
     for l in range(2, n - 1):
-        blocks = [build_x_block(mat, s, l) for s in (0, 1, 2)]
-        for s, h in _BLOCK_ORDER:
-            gram = xh[h] @ blocks[s]
-            values.append(int((gram**2).sum()))
-    return KSequence(mat.shape[0], n, tuple(values))
+        for s in (0, 1, 2):
+            gram = xh @ _x_block(minus, _members(n, s, l, tails))
+            rows = (gram * gram).sum(axis=1).astype(np.int64)
+            values += [int(rows[: n - 2].sum()), int(rows[n - 2 :].sum())]
+    return KSequence(runs, n, tuple(values))
 
 
 def q_polynomial(l: int, c: int, n: int) -> int:
@@ -191,12 +202,6 @@ def q_polynomial_table(n: int, lmax: int) -> np.ndarray:
         table = table.astype(np.int64)
     table.setflags(write=False)
     return table
-
-
-def agreement_counts(matrix: np.ndarray) -> np.ndarray:
-    """c_uw: number of ordinary columns (5..n) where runs u and w agree."""
-    tail = as_design_matrix(matrix)[:, 4:].astype(np.int64)
-    return (tail.shape[1] + tail @ tail.T) // 2
 
 
 def q_value(matrix: np.ndarray, s: int, l: int, u: int, w: int) -> int:

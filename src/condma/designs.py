@@ -101,7 +101,7 @@ def as_design_matrix(array: np.ndarray | list) -> np.ndarray:
         raise DesignError(f"design matrix must be 2-D, got shape {mat.shape}")
     if mat.shape[1] < 5:
         raise DesignError(f"need at least 5 columns, got {mat.shape[1]}")
-    if not np.all(np.isin(mat, (-1, 1))):
+    if not ((mat == 1) | (mat == -1)).all():
         raise DesignError("design matrix entries must be +1 or -1")
     return mat.astype(np.int8)
 

@@ -31,6 +31,7 @@ strictly decreasing along the ladder (0,1), (1,1), (0,2), (1,2), (2,2),
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -163,7 +164,7 @@ def tau_to_beta(tau: np.ndarray, n: int) -> np.ndarray:
     vec = np.asarray(tau, dtype=np.float64).reshape(16, -1)
     if vec.size != nu:
         raise ValueError(f"tau must have length 2**{n}")
-    out = build_w() @ vec
+    out = _w() @ vec
     out = _hadamard_last_axis(out)
     return out.reshape(nu) / nu
 
@@ -201,12 +202,24 @@ def beta_to_theta(beta: np.ndarray, n: int) -> np.ndarray:
     return th.reshape(-1)
 
 
+@lru_cache(maxsize=1)
+def _w() -> np.ndarray:
+    """`build_w()`, built once, read-only."""
+    w = build_w()
+    w.setflags(write=False)
+    return w
+
+
+@lru_cache(maxsize=32)
 def _core_and_tail(prior: PriorSpec) -> tuple[np.ndarray, np.ndarray]:
+    """W R4 W^T and H R H for the prior, read-only, cached per prior."""
     rho = prior.rho
     r2 = np.array([[1.0, rho], [rho, 1.0]])
-    w = build_w()
+    w = _w()
     core = w @ _kron_all(r2, r2, r2, r2) @ w.T
     hrh = H2 @ r2 @ H2  # = 2 diag(1+rho, 1-rho)
+    core.setflags(write=False)
+    hrh.setflags(write=False)
     return core, hrh
 
 

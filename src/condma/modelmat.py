@@ -6,6 +6,15 @@ the conditional-parametrization contrasts; they agree with X on effects
 that involve no conditional factor and otherwise mix the two columns of a
 conditional pair with weight 1/sqrt2 per active conditional factor.
 
+Class members are listed by ascending pattern integer, j1 the most
+significant bit: the lexicographic order of the bit tuples.  The class of
+a pattern depends only on its role bits q = (j1..j4) and on the number of
+ones among its n-4 ordinary bits, so a class is, for ascending q, the
+prefix q followed by every ordinary part of weight l - base(q), ascending.
+An X block is one parity product: its entry in run u is -1 to the number
+of the member's columns that are -1 in run u, so with `minus` the 0/1
+matrix of the design's -1 entries, X = 1 - 2 ((minus @ members^T) mod 2).
+
 The first-stage information matrix uses the class-(0,1) and class-(1,1)
 blocks, centered: M = Z1^T (I - 11^T/N) Z1 with Z1 = [Z_01, Z_11], a
 square matrix of side (n-2) + 4 = n+2.  For designs passing the four
@@ -13,8 +22,6 @@ admissibility conditions M equals N times the identity.
 """
 
 from __future__ import annotations
-
-from itertools import combinations
 
 import numpy as np
 
@@ -31,58 +38,69 @@ __all__ = [
 ]
 
 
+def _role_prefixes() -> dict[int, list[tuple[tuple[int, ...], int]]]:
+    """Per s, the role bits (j1, j2, j3, j4) of class s, ascending with j1
+    most significant, each with its share of l: a conditioning bit counts
+    unless its conditional factor is active (`effects.classify_effect`)."""
+    bits = (np.arange(16)[:, None] >> np.arange(3, -1, -1)) & 1
+    j1, j2, j3, j4 = bits.T
+    s = j1 + j3
+    base = s + j2 * (1 - j1) + j4 * (1 - j3)
+    rows = list(zip(map(tuple, bits.tolist()), base.tolist()))
+    return {t: [rows[q] for q in np.flatnonzero(s == t)] for t in (0, 1, 2)}
+
+
+_PREFIXES = _role_prefixes()
+
+
+def _weight_rows(m: int, kmax: int) -> list[np.ndarray]:
+    """0/1 rows of length m with k ones, for k = 0..min(kmax, m): each a
+    uint8 array ascending as binary numbers, first column most significant."""
+    rows = np.zeros((1, m), dtype=np.uint8)
+    binom = np.ones(m, dtype=np.intp)  # C(t, k-1) for t < m
+    out = [rows]
+    for k in range(1, min(kmax, m) + 1):
+        # By leading one i, descending: the C(m-1-i, k-1) rows of weight
+        # k-1 that lie wholly after i, which come first, with bit i set.
+        count = binom[k - 1 :]
+        take = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count)
+        rows = rows[take]
+        rows[np.arange(len(rows)), np.repeat(np.arange(m - k, -1, -1), count)] = 1
+        out.append(rows)
+        binom = np.cumsum(binom) - binom  # C(t, k) = sum of C(u, k-1) over u < t
+    return out
+
+
+def _members(n: int, s: int, l: int, tails: list[np.ndarray] | None = None) -> np.ndarray:
+    """(|class|, n) int64 0/1 matrix of the class-(s, l) members, in order.
+    `tails` may hold `_weight_rows(n - 4, w)` for a w covering the class."""
+    if s not in _PREFIXES:
+        raise ValueError(f"s must be 0, 1 or 2, got {s}")
+    chosen = [(role, l - base) for role, base in _PREFIXES[s] if 0 <= l - base <= n - 4]
+    if tails is None:
+        tails = _weight_rows(n - 4, max((w for _, w in chosen), default=0))
+    out = np.empty((sum(len(tails[w]) for _, w in chosen), n), dtype=np.int64)
+    at = 0
+    for role, w in chosen:
+        size = len(tails[w])
+        out[at : at + size, :4] = role
+        out[at : at + size, 4:] = tails[w]
+        at += size
+    return out
+
+
+def _x_block(minus: np.ndarray, members: np.ndarray) -> np.ndarray:
+    """float64 +-1 X columns of the member rows; `minus` is float64 0/1."""
+    return 1.0 - 2.0 * np.fmod(minus @ members.T, 2.0)
+
+
 def omega_members(n: int, s: int, l: int) -> list[tuple[int, ...]]:
     """All bit tuples (j1..jn) in class (s, l), in lexicographic order.
 
     Class sizes: C(n-2, l) for s=0, 4*C(n-3, l-1) for s=1, and
     4*C(n-4, l-2) for s=2.
     """
-    if s not in (0, 1, 2):
-        raise ValueError(f"s must be 0, 1 or 2, got {s}")
-    if l < s:
-        # an active conditional factor contributes 1 to l, so no
-        # pattern can have fewer active positions than pairs
-        return []
-    out: list[tuple[int, ...]] = []
-    rest = range(4, n)
-    if s == 0:
-        # j1 = j3 = 0, l ones among j2, j4, j5..jn.
-        slots = [1, 3, *rest]
-        for active in combinations(slots, l):
-            bits = [0] * n
-            for a in active:
-                bits[a] = 1
-            out.append(tuple(bits))
-    elif s == 1:
-        # j1 = 1 (j2 free, j3 = 0) with l-1 ones among j4..jn, plus the
-        # mirrored branch with j3 = 1 (j4 free, j1 = 0).
-        for j2 in (0, 1):
-            slots = [3, *rest]
-            for active in combinations(slots, l - 1):
-                bits = [0] * n
-                bits[0], bits[1] = 1, j2
-                for a in active:
-                    bits[a] = 1
-                out.append(tuple(bits))
-        for j4 in (0, 1):
-            slots = [1, *rest]
-            for active in combinations(slots, l - 1):
-                bits = [0] * n
-                bits[2], bits[3] = 1, j4
-                for a in active:
-                    bits[a] = 1
-                out.append(tuple(bits))
-    else:
-        # j1 = j3 = 1, j2 and j4 free, l-2 ones among j5..jn.
-        for j2 in (0, 1):
-            for j4 in (0, 1):
-                for active in combinations(rest, l - 2):
-                    bits = [0] * n
-                    bits[0], bits[1], bits[2], bits[3] = 1, j2, 1, j4
-                    for a in active:
-                        bits[a] = 1
-                    out.append(tuple(bits))
-    return sorted(out)
+    return [tuple(bits) for bits in _members(n, s, l).tolist()]
 
 
 def build_x_column(matrix: np.ndarray, bits: tuple[int, ...]) -> np.ndarray:
@@ -96,18 +114,11 @@ def build_x_column(matrix: np.ndarray, bits: tuple[int, ...]) -> np.ndarray:
 
 
 def build_x_block(matrix: np.ndarray, s: int, l: int) -> np.ndarray:
-    """N x |class| matrix of X columns for class (s, l) (int64).
-
-    Column j is `build_x_column` of member j: its entry in run u is -1 to
-    the number of the member's columns that are -1 in run u, so the whole
-    block is one parity product of the 0/1 minus-sign matrix with the 0/1
-    member matrix.
-    """
+    """N x |class| matrix of X columns for class (s, l) (int64); column j
+    is `build_x_column` of member j."""
     mat = as_design_matrix(matrix)
-    n = mat.shape[1]
-    members = np.array(omega_members(n, s, l), dtype=np.int64).reshape(-1, n)
-    minus = (mat < 0).astype(np.int64)
-    return 1 - 2 * ((minus @ members.T) & 1)
+    members = _members(mat.shape[1], s, l)
+    return _x_block((mat < 0).astype(np.float64), members).astype(np.int64)
 
 
 def build_z_block(matrix: np.ndarray, s: int, l: int) -> np.ndarray:
@@ -120,41 +131,29 @@ def build_z_block(matrix: np.ndarray, s: int, l: int) -> np.ndarray:
       s=1, second pair:  z = (x[j4->0] + delta(j4) x[j4->1]) / sqrt2
       s=2:  quarter mix of the four (j2, j4) settings with delta weights
     """
-    mat = as_design_matrix(matrix)
-    n = mat.shape[1]
-    members = omega_members(n, s, l)
-    cols = []
-    for bits in members:
-        j1, j2, j3, j4 = bits[:4]
-        if s == 0:
-            z = build_x_column(mat, bits).astype(np.float64)
-        elif s == 1 and j1 == 1:
-            b0 = (bits[0], 0, *bits[2:])
-            b1 = (bits[0], 1, *bits[2:])
-            d2 = 1.0 - 2.0 * j2
-            z = (build_x_column(mat, b0) + d2 * build_x_column(mat, b1)) / np.sqrt(2.0)
-        elif s == 1:
-            b0 = (*bits[:3], 0, *bits[4:])
-            b1 = (*bits[:3], 1, *bits[4:])
-            d4 = 1.0 - 2.0 * j4
-            z = (build_x_column(mat, b0) + d4 * build_x_column(mat, b1)) / np.sqrt(2.0)
-        else:
-            d2 = 1.0 - 2.0 * j2
-            d4 = 1.0 - 2.0 * j4
-            z = (
-                build_x_column(mat, (1, 0, 1, 0, *bits[4:]))
-                + d4 * build_x_column(mat, (1, 0, 1, 1, *bits[4:]))
-                + d2 * build_x_column(mat, (1, 1, 1, 0, *bits[4:]))
-                + d2 * d4 * build_x_column(mat, (1, 1, 1, 1, *bits[4:]))
-            ) / 2.0
-        cols.append(z)
-    return np.column_stack(cols)
+    return _z_block(as_design_matrix(matrix), s, l)
+
+
+def _z_block(mat: np.ndarray, s: int, l: int) -> np.ndarray:
+    # x[j->1] = x[j->0] d_j, so each free bit j multiplies x[j->0] by the
+    # integer 1 + delta(j) d_j: the mix is exact before the final scaling.
+    members = _members(mat.shape[1], s, l)
+    free = members[:, [0, 2]]  # j2 is free under j1, j4 under j3
+    cleared = members.copy()
+    cleared[:, [1, 3]] *= 1 - free
+    z = _x_block((mat < 0).astype(np.float64), cleared).astype(np.int64)
+    for j, f in ((1, free[:, 0]), (3, free[:, 1])):
+        z *= 1 + f * (1 - 2 * members[:, j]) * mat[:, j, None]
+    return z / (1.0, np.sqrt(2.0), 2.0)[s]
 
 
 def info_matrix(matrix: np.ndarray) -> np.ndarray:
     """Centered information matrix of [Z_01, Z_11], side n+2."""
-    mat = as_design_matrix(matrix)
-    z1 = np.hstack([build_z_block(mat, 0, 1), build_z_block(mat, 1, 1)])
+    return _info(as_design_matrix(matrix))
+
+
+def _info(mat: np.ndarray) -> np.ndarray:
+    z1 = np.hstack([_z_block(mat, 0, 1), _z_block(mat, 1, 1)])
     centered = z1 - z1.mean(axis=0, keepdims=True)
     return z1.T @ centered
 
@@ -162,7 +161,7 @@ def info_matrix(matrix: np.ndarray) -> np.ndarray:
 def optimality_gap(matrix: np.ndarray) -> float:
     """Max absolute deviation of the information matrix from N * identity."""
     mat = as_design_matrix(matrix)
-    m = info_matrix(mat)
+    m = _info(mat)
     return float(np.max(np.abs(m - mat.shape[0] * np.eye(m.shape[0]))))
 
 

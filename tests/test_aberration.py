@@ -12,10 +12,8 @@ from condma.aberration import (
     FastEvaluator,
     KSequence,
     RegularBatchEvaluator,
-    agreement_counts,
     compare_k,
     entry_labels,
-    k_direct,
     k_sequence_direct,
     k_sequence_fast,
     q_polynomial,
@@ -29,6 +27,18 @@ from helpers import random_admissible_spec, random_valid_spec
 
 FLAGSHIP = RegularSpec(r=4, columns=(1, 2, 4, 8, 15))
 ROW6 = RegularSpec(r=4, columns=(1, 8, 2, 4, 7, 11))
+
+
+def k_direct(matrix, s, l, h):
+    """N**2 * K_sl(h) for one (s, l, h), straight from the X blocks."""
+    gram = build_x_block(matrix, h, 1).T @ build_x_block(matrix, s, l)
+    return int((gram**2).sum())
+
+
+def agreement_counts(matrix):
+    """c_uw: number of ordinary columns (5..n) where runs u and w agree."""
+    tail = np.asarray(matrix)[:, 4:].astype(np.int64)
+    return (tail.shape[1] + tail @ tail.T) // 2
 
 
 def test_entry_labels_order():
@@ -214,6 +224,22 @@ class TestRouteAgreement:
         assert ev.sequence() == whole == k_sequence_direct(mat)
         # the state is the pair histogram's moments, not N x N arrays
         assert all(np.size(v) < mat.shape[0] ** 2 for v in vars(ev).values())
+
+    def test_direct_equals_k_direct_entry_by_entry(self):
+        mat = expand(ROW6)
+        want = [k_direct(mat, s, l, h) for l in range(2, ROW6.n - 1) for s in (0, 1, 2) for h in (0, 1)]
+        assert list(k_sequence_direct(mat).values) == want
+
+    def test_direct_refuses_oversized_blocks_at_once(self):
+        # 64 runs, n=40: the largest class is (1, 19), of 4 C(37, 18) members
+        labels = (1, 2, 4, 8, *[x for x in range(5, 64) if x not in (8, 12)][: 40 - 4])
+        mat = expand(RegularSpec(r=6, columns=labels))
+        with pytest.raises(DesignError, match=f"64 x {4 * comb(37, 18)} ="):
+            k_sequence_direct(mat)
+
+    def test_direct_evaluates_32_runs_16_factors(self):
+        mat = expand(RegularSpec(r=5, columns=(1, 2, 4, 8, 16, 5, 6, 9, 10, 17, 18, 20, 24, 31, 7, 11)))
+        assert k_sequence_direct(mat) == k_sequence_fast(mat)
 
     def test_evaluator_blocks_compose_sequence(self):
         mat = expand(ROW6)

@@ -13,6 +13,7 @@ from condma.designs import (
     FormatError,
     RegularSpec,
     admissible_mask,
+    as_design_matrix,
     check_conditions,
     check_conditions_regular,
     expand,
@@ -31,6 +32,43 @@ def spec_and_conditions(r, labels):
     except DesignError:
         return False
     return check_conditions_regular(spec).ok
+
+
+SIGNS = [[1, -1, 1, -1, 1], [-1, 1, 1, -1, -1]]
+NOT_SIGNS = "design matrix entries must be +1 or -1"
+
+
+class TestAsDesignMatrix:
+    @pytest.mark.parametrize(
+        "array",
+        [np.array(SIGNS, np.int8), np.array(SIGNS, np.int64), np.array(SIGNS, np.float64), SIGNS],
+        ids=["int8", "int64", "float", "list"],
+    )
+    def test_accepts_signs_as_int8(self, array):
+        out = as_design_matrix(array)
+        assert out.dtype == np.int8
+        assert out.tolist() == SIGNS
+
+    @pytest.mark.parametrize(
+        "bad, dtype",
+        [(0, np.int64), (2, np.int64), (0.5, np.float64), (np.nan, np.float64), (-128, np.int8), (False, bool)],
+        ids=["zero", "two", "half", "nan", "int8_min", "bool_false"],
+    )
+    def test_rejects_other_entries(self, bad, dtype):
+        array = np.array(SIGNS).astype(dtype)
+        array[1, 2] = bad
+        with pytest.raises(DesignError, match=re.escape(NOT_SIGNS)):
+            as_design_matrix(array)
+
+    def test_all_true_bool_reads_as_plus_one(self):
+        # True == 1, as the +-1 test has always read it
+        assert as_design_matrix(np.ones((2, 5), dtype=bool)).tolist() == [[1] * 5] * 2
+
+    def test_shape_errors(self):
+        with pytest.raises(DesignError, match=re.escape("design matrix must be 2-D, got shape (5,)")):
+            as_design_matrix(np.array(SIGNS[0]))
+        with pytest.raises(DesignError, match=re.escape("need at least 5 columns, got 4")):
+            as_design_matrix(np.array(SIGNS)[:, :4])
 
 
 class TestRegularSpec:

@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 from math import comb
 
 import numpy as np
@@ -17,6 +18,75 @@ from condma.modelmat import (
 from helpers import random_valid_spec
 
 FLAGSHIP = RegularSpec(r=4, columns=(1, 2, 4, 8, 15))
+
+
+def reference_members(n, s, l):
+    """Class-(s, l) members one tuple at a time, from the class rules."""
+    if l < s:
+        return []
+    out = []
+    rest = range(4, n)
+    if s == 0:
+        # j1 = j3 = 0, l ones among j2, j4, j5..jn.
+        for active in combinations([1, 3, *rest], l):
+            out.append(tuple(int(j in active) for j in range(n)))
+    elif s == 1:
+        # j1 = 1 (j2 free, j3 = 0) with l-1 ones among j4..jn, plus the
+        # mirrored branch with j3 = 1 (j4 free, j1 = 0).
+        for lead, free, slots in ((0, 1, [3, *rest]), (2, 3, [1, *rest])):
+            for jf in (0, 1):
+                for active in combinations(slots, l - 1):
+                    bits = [int(j in active) for j in range(n)]
+                    bits[lead], bits[free] = 1, jf
+                    out.append(tuple(bits))
+    else:
+        # j1 = j3 = 1, j2 and j4 free, l-2 ones among j5..jn.
+        for j2 in (0, 1):
+            for j4 in (0, 1):
+                for active in combinations(rest, l - 2):
+                    out.append((1, j2, 1, j4, *(int(j in active) for j in rest)))
+    return sorted(out)
+
+
+def reference_z_column(mat, s, bits):
+    """One Z column mixed from `build_x_column`s, as the class rules say."""
+    x = lambda b: build_x_column(mat, b)  # noqa: E731
+    d2, d4 = 1.0 - 2.0 * bits[1], 1.0 - 2.0 * bits[3]
+    if s == 0:
+        return x(bits).astype(np.float64)
+    if s == 1 and bits[0]:
+        return (x((1, 0, *bits[2:])) + d2 * x((1, 1, *bits[2:]))) / np.sqrt(2.0)
+    if s == 1:
+        return (x((*bits[:3], 0, *bits[4:])) + d4 * x((*bits[:3], 1, *bits[4:]))) / np.sqrt(2.0)
+    return (
+        x((1, 0, 1, 0, *bits[4:]))
+        + d4 * x((1, 0, 1, 1, *bits[4:]))
+        + d2 * x((1, 1, 1, 0, *bits[4:]))
+        + d2 * d4 * x((1, 1, 1, 1, *bits[4:]))
+    ) / 2.0
+
+
+def test_omega_members_match_reference():
+    for n in range(4, 14):
+        for s in (0, 1, 2):
+            for l in range(-1, n + 2):
+                got = omega_members(n, s, l)
+                assert got == reference_members(n, s, l), (n, s, l)
+                assert all(type(b) is int for bits in got for b in bits)
+    assert omega_members(6, 0, 0) == [(0,) * 6]
+
+
+def test_z_block_matches_per_member_reference():
+    rng = random.Random(23)
+    for r, n in ((4, 5), (4, 8), (4, 10), (5, 6), (5, 8), (5, 10)):
+        mat = expand(random_valid_spec(rng, r, n))
+        for s in (0, 1, 2):
+            for l in range(max(s, 1), n - 1):
+                members = omega_members(n, s, l)
+                want = np.column_stack([reference_z_column(mat, s, b) for b in members])
+                got = build_z_block(mat, s, l)
+                assert got.dtype == np.float64
+                assert np.array_equal(got, want), (r, n, s, l)
 
 
 def test_omega_sizes():
