@@ -37,8 +37,9 @@ exact int64 moments M[k,c] = sum_p C H_pairs and sums M Q_{l-2..l} per
 block: in int64 when sum |M| max|Q_{l-2..l}| < 2**63 (no partial sum of
 that block can exceed it), in Python ints otherwise.
 
-Searches use `RegularBatchEvaluator`.  For a regular design the pair
-histogram is N times the histogram H[p,c] of the runs v = u XOR w:
+Searches rank regular designs by `_lex_minimum`.  For a regular design
+the pair histogram is N times the histogram H[p,c] of the runs
+v = u XOR w:
 1. d_ui d_wi = chi_{b_i}(u XOR w), and runs u, w agree on ordinary
    column j exactly when <u XOR w, b_j> = 0;
 2. so each Gram entry is a function of v only, through (p(v), c(v)), and
@@ -72,7 +73,6 @@ __all__ = [
     "q_polynomial_table",
     "q_value",
     "FastEvaluator",
-    "RegularBatchEvaluator",
     "k_sequence_fast",
 ]
 
@@ -268,8 +268,9 @@ class FastEvaluator:
     Holds the moments M[e, k, c] = sum_p C[e, k, p, c] H_pairs[p, c] of the
     design's run-pair histogram (see the module docstring), so `block(l)`
     is one (6, 3, n-3) product with Q_{l-2..l}; the lazy shape lets a
-    caller stop after a losing prefix.  Searches over regular designs use
-    `RegularBatchEvaluator` instead; this route serves any explicit matrix.
+    caller stop after a losing prefix.  Searches over regular designs rank
+    run histograms by `_lex_minimum` instead; this route serves any
+    explicit matrix.
     """
 
     def __init__(self, matrix: np.ndarray):
@@ -307,54 +308,6 @@ class FastEvaluator:
         for l in range(2, self.n - 1):
             values.extend(self.block(l))
         return KSequence(self.runs, self.n, tuple(values))
-
-
-class RegularBatchEvaluator:
-    """Fast route for a batch of regular designs with the same r and n.
-
-    Each row's K entries are `H @ W_l` (see the module docstring): H is
-    the row's (pattern, agreement count) histogram over the N runs v, and
-    W_l the shared weights of `_block_weights(r, n)`.  The state is the
-    (rows, 16 (n-3)) histogram; `block(l)` gives every row's six entries,
-    equal to `FastEvaluator(expand(spec)).block(l)`.
-
-    `labels` is a (rows, n) array of admissible label tuples (see
-    `designs.admissible_mask`); `select` narrows the batch to a subset of
-    its rows, which is how a search drops the rows it has cut.
-    """
-
-    def __init__(self, r: int, labels: np.ndarray):
-        labels = np.asarray(labels, dtype=np.int64)
-        rows, n = labels.shape
-        hists = _run_histograms(r, labels, np.arange(n)[None], np.arange(rows), max(1, rows))
-        self._start(r, n, hists)
-
-    @classmethod
-    def _of_histograms(cls, r: int, n: int, hists: np.ndarray) -> "RegularBatchEvaluator":
-        """An evaluator whose rows are the given (rows, 16 (n-3)) run
-        histograms, as `_run_histograms` builds them."""
-        ev = cls.__new__(cls)
-        ev._start(r, n, hists)
-        return ev
-
-    def _start(self, r: int, n: int, hists: np.ndarray) -> None:
-        self.runs, self.n = 1 << r, n
-        self._w = _block_weights(r, n)
-        self._h = hists.astype(self._w.dtype)
-        self.rows = self._h.shape[0]
-
-    def select(self, rows: np.ndarray) -> None:
-        """Keep only the given rows (an index or boolean array)."""
-        self._h = self._h[rows]
-        self.rows = self._h.shape[0]
-
-    def block(self, l: int) -> np.ndarray:
-        """(rows, 6) array of each row's six entries for one l: int64, or
-        Python ints (object) where `_block_weights` needs them."""
-        if not 2 <= l <= self.n - 2:
-            raise ValueError(f"l={l} outside 2..{self.n - 2}")
-        out = self._h @ self._w[l - 2]
-        return out.astype(np.int64) if out.dtype == np.float64 else out
 
 
 def _run_histograms(
@@ -420,6 +373,47 @@ def _block_weights(r: int, n: int) -> np.ndarray:
     w = w.astype(np.float64 if bound < 1 << 53 else np.int64 if bound < 1 << 63 else object)
     w.setflags(write=False)
     return w
+
+
+def _lex_minimum(
+    r: int, n: int, hists: np.ndarray, bound: tuple[int, ...] | None
+) -> tuple[tuple[int, ...], np.ndarray] | None:
+    """The least K values, in lexicographic order, over a batch of run
+    histograms and the rows attaining them, or None once that minimum's
+    prefix exceeds `bound`.
+
+    `hists` is a (rows, 16 (n-3)) array as `_run_histograms` builds it;
+    block l of a row is `H @ W_l` with the weights of `_block_weights`,
+    exact in their dtype, and a float64 block is read back as int64.  After
+    each block only the rows whose block equals the lexicographic minimum
+    among the survivors go on, so the survivors always share their whole
+    prefix and ties stay exact.  Lexicographic comparison is decided at the
+    first differing entry, so a prefix that compares greater than the
+    bound can never beat it, and one that compares smaller always does.
+    """
+    w = _block_weights(r, n)
+    h = hists.astype(w.dtype)
+    alive = np.arange(len(h))
+    values: list[int] = []
+    decided_better = bound is None
+    for l in range(2, n - 1):
+        block = h @ w[l - 2]
+        if block.dtype == np.float64:
+            block = block.astype(np.int64)
+        keep = np.ones(len(block), dtype=bool)
+        for column in block.T:
+            keep &= column == column[keep].min()
+        if not keep.all():
+            h, alive = h[keep], alive[keep]
+        head = tuple(block[keep][0].tolist())
+        values.extend(head)
+        if decided_better:
+            continue
+        bound_head = bound[len(values) - 6 : len(values)]
+        if head > bound_head:
+            return None
+        decided_better = head < bound_head
+    return tuple(values), alive
 
 
 def k_sequence_fast(matrix: np.ndarray) -> KSequence:

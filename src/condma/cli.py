@@ -30,7 +30,14 @@ from .designs import (
     expand,
     load_design_file,
 )
-from .effects import PriorSpec, hierarchy_sequence, prior_cov_beta_diag, variance_formula
+from .effects import (
+    PriorSpec,
+    beta_index_bits,
+    classify_effect,
+    hierarchy_sequence,
+    prior_cov_beta_diag,
+    variance_formula,
+)
 from .modelmat import optimality_gap
 from .search import SearchResult, SearchTask, search_ma, search_within_columns
 from .wordcounts import _FAMILIES, a_counts, a_reduced_sequence
@@ -136,23 +143,30 @@ def _cmd_counts(args) -> int:
     return 0
 
 
+def _max_diagonal_deviation(n: int, prior: PriorSpec) -> float:
+    """max |diagonal of the beta prior covariance - `variance_formula`| over
+    every beta position but the grand mean's.
+
+    Role block q holds the positions q 2**(n-4) + t.  Within a block the
+    class is (s, base + popcount(t)), with (s, base) the class of the
+    block's t = 0 position, or (0, 0) in block 0, whose t = 0 position is
+    the grand mean; so each block needs n-3 scalar variances.
+    """
+    diag = prior_cov_beta_diag(n, prior).reshape(16, 1 << (n - 4))
+    weight = np.bitwise_count(np.arange(1 << (n - 4)))
+    want = np.empty_like(diag)
+    for q in range(16):
+        s, base = classify_effect(beta_index_bits(q << (n - 4), n)) or (0, 0)
+        want[q] = np.array([variance_formula(n, s, base + w, prior) for w in range(n - 3)])[weight]
+    want[0, 0] = diag[0, 0]  # the grand mean has no class
+    return float(np.abs(diag - want).max())
+
+
 def _cmd_prior(args) -> int:
     prior = PriorSpec(rho=args.rho, sigma2=args.sigma2)
     ladder = hierarchy_sequence(args.n, prior)
     decreasing = all(a[1] > b[1] for a, b in zip(ladder, ladder[1:]))
-    max_dev = float("nan")
-    if args.n <= 20:
-        diag = prior_cov_beta_diag(args.n, prior)
-        from .effects import beta_index_bits, classify_effect
-
-        devs = []
-        for pos in range(1 << args.n):
-            cls = classify_effect(beta_index_bits(pos, args.n))
-            if cls is None:
-                continue
-            s, l = cls
-            devs.append(abs(diag[pos] - variance_formula(args.n, s, l, prior)))
-        max_dev = max(devs)
+    max_dev = _max_diagonal_deviation(args.n, prior) if args.n <= 20 else None
     if args.json:
         print(
             json.dumps(
@@ -172,7 +186,7 @@ def _cmd_prior(args) -> int:
     for (s, l), v in ladder:
         print(f"{f'({s},{l})':>12}  {v:>14.10f}")
     print("strictly decreasing:", "yes" if decreasing else "NO")
-    if max_dev == max_dev:
+    if max_dev is not None:
         print(f"max |diagonal - closed form|: {max_dev:.3g}")
     return 0
 

@@ -30,8 +30,6 @@ __all__ = [
     "projection_counts",
     "check_conditions",
     "check_conditions_regular",
-    "admissible_mask",
-    "regular_specs",
     "parse_design_text",
     "load_design_file",
 ]
@@ -218,19 +216,6 @@ def check_conditions_regular(spec: RegularSpec) -> ConditionReport:
     return ConditionReport(strength2, triples_12, triples_34, quad_1234, tuple(failures))
 
 
-def admissible_mask(r: int, labels: np.ndarray) -> np.ndarray:
-    """Vectorized `RegularSpec` plus `check_conditions_regular(...).ok`.
-
-    `labels` is a (rows, n) integer array of label tuples, roles first.
-    Entry i of the result is True exactly when row i builds a
-    `RegularSpec(r, row)` and that spec passes all four admissibility
-    conditions.  This is `_assignment_mask` with each row its own design
-    and the identity as the only assignment.
-    """
-    labels = np.asarray(labels, dtype=np.int64)
-    return _assignment_mask(r, labels, np.arange(labels.shape[1])[None]).ravel()
-
-
 def _assignment_mask(r: int, designs: np.ndarray, index: np.ndarray) -> np.ndarray:
     """(G, A) mask over role assignments: entry (g, a) is True exactly when
     the label tuple `designs[g, index[a]]` builds a `RegularSpec(r, ...)`
@@ -239,7 +224,9 @@ def _assignment_mask(r: int, designs: np.ndarray, index: np.ndarray) -> np.ndarr
     `designs` is a (G, n) int64 array of column sets and `index` an (A, n)
     array of column positions, roles first.  Every assignment of a design
     uses all of its columns, so validity (labels in range, distinct and of
-    rank r) is decided once per design.
+    rank r) is decided once per design.  A (rows, n) array of label tuples
+    is checked row by row as `designs` under the identity index
+    `np.arange(n)[None]`.
 
     For distinct nonzero labels with column set S, the conditions reduce
     to three tests on the role pair sums:
@@ -270,37 +257,11 @@ def _assignment_mask(r: int, designs: np.ndarray, index: np.ndarray) -> np.ndarr
     outside = ~np.any(sums[:, :, None] == designs[:, None, :], axis=2)
     ok = outside[:, pair[:, 0]] & outside[:, pair[:, 1]]
     ok &= sums[:, pair[:, 0]] != sums[:, pair[:, 1]]
-    return ok & _valid_rows(r, designs)[:, None]
-
-
-def _valid_rows(r: int, labels: np.ndarray) -> np.ndarray:
-    """Per row of an int64 (rows, n) label array: does `RegularSpec(r, row)`
-    accept it?  Labels in [1, 2**r), distinct, spanning GF(2)^r.  The
-    caller checks r and n."""
-    ok = np.all((labels >= 1) & (labels < 1 << r), axis=1)
-    ordered = np.sort(labels, axis=1)
-    ok &= np.all(ordered[:, 1:] != ordered[:, :-1], axis=1)
+    valid = np.all((designs >= 1) & (designs < 1 << r), axis=1)
+    ordered = np.sort(designs, axis=1)
+    valid &= np.all(ordered[:, 1:] != ordered[:, :-1], axis=1)
     del ordered  # a full copy of the labels; free it before the elimination
-    return ok & _rank_mask(labels, r)
-
-
-def regular_specs(r: int, labels: np.ndarray) -> tuple[RegularSpec, ...]:
-    """One `RegularSpec` per row of a (rows, n) label array, in row order.
-
-    Every row is validated at once by the checks `RegularSpec` makes; the
-    first row it would reject raises that row's `DesignError`.  The specs
-    are then built by `_spec_rows`, without validating each again.
-    """
-    labels = np.asarray(labels, dtype=np.int64)
-    rows, n = labels.shape
-    if rows == 0:
-        return ()
-    sized = n >= 5 and 2 <= r <= MAX_R
-    ok = _valid_rows(r, labels) if sized else np.zeros(rows, dtype=bool)
-    if not ok.all():
-        # the first row RegularSpec rejects, to raise its own error
-        RegularSpec(r, tuple(labels[np.argmin(ok)].tolist()))
-    return _spec_rows(r, labels)
+    return ok & (valid & _rank_mask(designs, r))[:, None]
 
 
 def _spec_rows(r: int, labels: np.ndarray) -> tuple[RegularSpec, ...]:

@@ -4,7 +4,9 @@ import importlib.util
 import random
 from pathlib import Path
 
-from condma.designs import DesignError, RegularSpec, check_conditions_regular
+import numpy as np
+
+from condma.designs import DesignError, RegularSpec, _assignment_mask, check_conditions_regular
 
 TOOLS_DIR = Path(__file__).resolve().parent.parent / "tools"
 
@@ -26,6 +28,12 @@ def random_admissible_spec(rng: random.Random, r: int, n: int) -> RegularSpec:
         spec = random_valid_spec(rng, r, n)
         if check_conditions_regular(spec).ok:
             return spec
+
+
+def label_mask(r: int, labels: np.ndarray) -> np.ndarray:
+    """`_assignment_mask` over a (rows, n) array of label tuples: each row
+    its own design, under the identity index."""
+    return _assignment_mask(r, labels, np.arange(labels.shape[1])[None]).ravel()
 
 
 def load_catalog_generator():

@@ -11,7 +11,8 @@ from condma import aberration
 from condma.aberration import (
     FastEvaluator,
     KSequence,
-    RegularBatchEvaluator,
+    _lex_minimum,
+    _run_histograms,
     compare_k,
     entry_labels,
     k_sequence_direct,
@@ -299,8 +300,23 @@ class TestRoutesAgreeUpToR7:
             assert k_sequence_direct(mat) == want
 
 
+def run_histograms(spec):
+    """The (1, 16 (n-3)) run histogram of one spec, its labels as given."""
+    labels = np.array([spec.columns], dtype=np.int64)
+    return _run_histograms(spec.r, labels, np.arange(spec.n)[None], np.arange(1), 1)
+
+
+def full_k(spec):
+    """A spec's whole K sequence from its run histogram, by `_lex_minimum`
+    on a one-row batch with no bound."""
+    values, alive = _lex_minimum(spec.r, spec.n, run_histograms(spec), None)
+    assert alive.tolist() == [0]
+    assert all(type(v) is int for v in values)
+    return values
+
+
 class TestRegularBatch:
-    """The batched route against the per-design fast and word-count routes."""
+    """The histogram route against the per-design fast and word-count routes."""
 
     # n stays where every K entry fits in int64 (see the 64-run n=50 bound)
     @pytest.mark.parametrize("r, sizes", [(4, (5, 7, 9, 12)), (5, (6, 10, 16)), (6, (8, 16, 30))])
@@ -308,11 +324,9 @@ class TestRegularBatch:
         rng = random.Random(100 + r)
         for n in sizes:
             specs = [random_admissible_spec(rng, r, n) for _ in range(4)]
-            ev = RegularBatchEvaluator(r, np.array([spec.columns for spec in specs]))
-            rows = np.concatenate([ev.block(l) for l in range(2, n - 1)], axis=1).tolist()
-            for spec, row in zip(specs, rows):
+            for spec in specs:
                 want = k_sequence_fast(expand(spec)).values
-                assert tuple(row) == want
+                assert full_k(spec) == want
                 assert k_from_counts(spec).values == want
 
     # 64-run (1, 2, 4, 8, 16, 32) plus the next labels: entries pass 2**53
@@ -332,23 +346,55 @@ class TestRegularBatch:
         else:
             rng = random.Random(n)
             specs = [random_admissible_spec(rng, r, n) for _ in range(3)]
-        ev = RegularBatchEvaluator(r, np.array([spec.columns for spec in specs]))
-        rows = np.concatenate([ev.block(l) for l in range(2, n - 1)], axis=1).tolist()
+        rows = [full_k(spec) for spec in specs]
         for spec, row in zip(specs, rows):
-            assert tuple(row) == k_from_counts(spec).values
-            assert k_sequence_fast(expand(spec)).values == tuple(row)
+            assert row == k_from_counts(spec).values
+            assert k_sequence_fast(expand(spec)).values == row
         if dtype is object:
             assert max(rows[0]) >= 1 << 63
 
-    def test_select_keeps_rows(self):
-        rng = random.Random(7)
-        specs = [random_admissible_spec(rng, 5, 9) for _ in range(6)]
-        ev = RegularBatchEvaluator(5, np.array([spec.columns for spec in specs]))
-        ev.select(np.array([4, 1]))
-        assert ev.rows == 2
-        for l in range(2, 8):
-            got = ev.block(l).tolist()
-            assert got == [list(FastEvaluator(expand(specs[i])).block(l)) for i in (4, 1)]
+
+class TestLexMinimum:
+    """`_lex_minimum`'s prefix bound, against full sequences compared in Python."""
+
+    @staticmethod
+    def batch():
+        # 32-run n=9 (six blocks); the minimum row and one other row repeat,
+        # so the minimum is attained by at least two rows
+        rng = random.Random(11)
+        specs = [random_admissible_spec(rng, 5, 9) for _ in range(8)]
+        ks = [full_k(spec) for spec in specs]
+        best = min(ks)
+        order = list(range(8)) + [ks.index(best), 3]
+        hists = np.concatenate([run_histograms(specs[i]) for i in order])
+        return hists, [ks[i] for i in order], best
+
+    def test_no_bound_ranks_the_whole_batch(self):
+        hists, ks, best = self.batch()
+        values, alive = _lex_minimum(5, 9, hists, None)
+        assert values == best
+        assert alive.tolist() == [i for i, k in enumerate(ks) if k == best]
+        assert len(alive) >= 2
+
+    def test_bound_equal_to_a_rows_k_keeps_it_and_its_ties(self):
+        hists, ks, best = self.batch()
+        for k in ks:
+            values, alive = _lex_minimum(5, 9, hists, k)
+            assert values == best
+            assert alive.tolist() == [i for i, x in enumerate(ks) if x == best]
+        values, alive = _lex_minimum(5, 9, hists[[3]], ks[3])
+        assert (values, alive.tolist()) == (ks[3], [0])
+
+    @pytest.mark.parametrize("at", [0, 4, 6, 20, 35])
+    def test_first_differing_entry_decides(self, at):
+        # the entry at `at` decides; every later entry of the bound points
+        # the other way, and must not matter
+        hists, _, best = self.batch()
+        rest = len(best) - at - 1
+        above = best[:at] + (best[at] + 1,) + (0,) * rest
+        assert _lex_minimum(5, 9, hists, above)[0] == best
+        below = best[:at] + (best[at] - 1,) + (1 << 70,) * rest
+        assert _lex_minimum(5, 9, hists, below) is None
 
 
 class TestCompare:

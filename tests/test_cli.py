@@ -5,8 +5,9 @@ import pytest
 
 from condma.aberration import k_sequence_fast
 from condma.catalogs import FIXTURES_16
-from condma.cli import main
+from condma.cli import _max_diagonal_deviation, main
 from condma.designs import RegularSpec, expand
+from condma.effects import PriorSpec, beta_index_bits, classify_effect, prior_cov_beta_diag, variance_formula
 from condma.search import SearchTask, search_ma
 from condma.wordcounts import a_counts
 
@@ -116,6 +117,28 @@ class TestPrior:
     def test_bad_rho(self, capsys):
         assert main(["prior", "--n", "5", "--rho", "1.5"]) == 1
         assert "condma:" in capsys.readouterr().err
+
+    def test_no_diagonal_beyond_n20_is_strict_json_null(self, capsys):
+        def reject(name):
+            raise ValueError(f"non-standard JSON constant {name}")
+
+        assert main(["prior", "--n", "21", "--rho", "0.3", "--json"]) == 0
+        doc = json.loads(capsys.readouterr().out, parse_constant=reject)
+        assert doc["max_diagonal_deviation"] is None
+        assert main(["prior", "--n", "21", "--rho", "0.3"]) == 0
+        assert "max |diagonal" not in capsys.readouterr().out
+
+    @pytest.mark.parametrize("n", [4, 5, 6, 9])
+    def test_blockwise_deviation_matches_per_position_loop(self, n):
+        for rho in (0.05, 0.3, 0.77):
+            prior = PriorSpec(rho=rho, sigma2=2.5)
+            diag = prior_cov_beta_diag(n, prior)
+            want = 0.0
+            for pos in range(1 << n):
+                cls = classify_effect(beta_index_bits(pos, n))
+                if cls is not None:
+                    want = max(want, abs(diag[pos] - variance_formula(n, *cls, prior)))
+            assert _max_diagonal_deviation(n, prior) == want
 
 
 class TestSearch:

@@ -12,7 +12,6 @@ from condma.designs import (
     DesignError,
     FormatError,
     RegularSpec,
-    admissible_mask,
     as_design_matrix,
     check_conditions,
     check_conditions_regular,
@@ -20,9 +19,8 @@ from condma.designs import (
     load_design_file,
     parse_design_text,
     projection_counts,
-    regular_specs,
 )
-from helpers import random_valid_spec
+from helpers import label_mask, random_valid_spec
 
 
 def spec_and_conditions(r, labels):
@@ -232,7 +230,7 @@ class TestAdmissibleMask:
             rows.append(tuple(row[2:4] + row[:2] + row[4:]))
         for n in {len(row) for row in rows}:
             block = [row for row in rows if len(row) == n]
-            got = admissible_mask(r, np.array(block)).tolist()
+            got = label_mask(r, np.array(block)).tolist()
             assert got == [spec_and_conditions(r, row) for row in block]
 
     def test_rank_deficient_tails(self):
@@ -240,7 +238,7 @@ class TestAdmissibleMask:
         # factor leave the labels short of rank 5
         pool = [x for x in range(1, 32) if x not in (1, 2, 4, 8)]
         raw = [(1, 2, 4, 8) + tail for tail in combinations(pool, 3)]
-        got = admissible_mask(5, np.array(raw)).tolist()
+        got = label_mask(5, np.array(raw)).tolist()
         want = [spec_and_conditions(5, row) for row in raw]
         assert got == want
         assert 0 < sum(want) < len(want)
@@ -269,57 +267,8 @@ class TestAdmissibleMask:
             assert 0 < got.sum() < got.size
 
     def test_unsupported_sizes_reject_everything(self):
-        assert not admissible_mask(4, np.array([[1, 2, 4, 8]])).any()
-        assert not admissible_mask(MAX_R + 1, np.array([[1, 2, 4, 8, 16]])).any()
-
-
-def spec_or_error(r, labels):
-    """What `RegularSpec` makes of one row: the spec, or its error message."""
-    try:
-        return RegularSpec(r=r, columns=labels)
-    except DesignError as exc:
-        return str(exc)
-
-
-class TestRegularSpecs:
-    @pytest.mark.parametrize("r", [4, 5, 6])
-    def test_rejects_exactly_what_regular_spec_rejects(self, r):
-        # out-of-range labels, repeated labels and rank-deficient rows, each
-        # validated alone and as the first bad row of a batch
-        rng = random.Random(40 + r)
-        for n in (r + 1, r + 3, r + 5):
-            rows = []
-            for _ in range(300):
-                row = [rng.randrange(1, 1 << r) for _ in range(n)]
-                kind = rng.random()
-                if kind < 0.15:
-                    row[rng.randrange(n)] = rng.choice((0, -3, 1 << r, 1 << (r + 2)))
-                elif kind < 0.3:
-                    row[rng.randrange(n)] = row[rng.randrange(n)]
-                elif kind < 0.45:
-                    row = [rng.randrange(1, 1 << (r - 1)) for _ in range(n)]
-                rows.append(tuple(row))
-            want = [spec_or_error(r, row) for row in rows]
-            assert 0 < sum(isinstance(w, str) for w in want) < len(want)
-            for row, expected in zip(rows, want):
-                if isinstance(expected, str):
-                    with pytest.raises(DesignError) as exc:
-                        regular_specs(r, np.array([row]))
-                    assert str(exc.value) == expected
-                else:
-                    assert regular_specs(r, np.array([row])) == (expected,)
-            first_bad = next(w for w in want if isinstance(w, str))
-            with pytest.raises(DesignError, match=re.escape(first_bad)):
-                regular_specs(r, np.array(rows))
-            good = [w for w in want if not isinstance(w, str)]
-            assert regular_specs(r, np.array([spec.columns for spec in good])) == tuple(good)
-
-    def test_sizes_checked_like_regular_spec(self):
-        with pytest.raises(DesignError, match="at least 5 columns"):
-            regular_specs(4, np.array([[1, 2, 4, 8]]))
-        with pytest.raises(DesignError, match="outside supported range"):
-            regular_specs(MAX_R + 1, np.array([[1, 2, 4, 8, 16]]))
-        assert regular_specs(4, np.zeros((0, 5), dtype=np.int64)) == ()
+        assert not label_mask(4, np.array([[1, 2, 4, 8]])).any()
+        assert not label_mask(MAX_R + 1, np.array([[1, 2, 4, 8, 16]])).any()
 
 
 LABELS_TEXT = """\

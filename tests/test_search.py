@@ -6,16 +6,14 @@ import numpy as np
 import pytest
 
 from condma import search
-from condma.aberration import RegularBatchEvaluator, _run_histograms, compare_k, k_sequence_fast
+from condma.aberration import _run_histograms, compare_k, k_sequence_fast
 from condma.catalogs import fixtures
 from condma.designs import (
     DesignError,
     RegularSpec,
     _assignment_mask,
-    admissible_mask,
     check_conditions_regular,
     expand,
-    regular_specs,
 )
 from condma.modelmat import optimality_check
 from condma.search import (
@@ -25,7 +23,7 @@ from condma.search import (
     search_within_columns,
 )
 from condma.wordcounts import k_from_counts
-from helpers import random_admissible_spec
+from helpers import label_mask, random_admissible_spec
 
 
 def canonicalize(specs):
@@ -90,7 +88,7 @@ def raw_labels(task):
 def admissible_specs(task):
     """The raw candidates that pass the admissibility filter, as specs."""
     labels = raw_labels(task)
-    return regular_specs(task.r, labels[admissible_mask(task.r, labels)])
+    return [RegularSpec(task.r, tuple(row)) for row in labels[label_mask(task.r, labels)].tolist()]
 
 
 class TestEnumeration:
@@ -99,7 +97,9 @@ class TestEnumeration:
         # every tuple builds a spec
         for n, count in ((5, 11), (12, 165)):
             labels = raw_labels(SearchTask(runs=16, n=n))
-            assert len(regular_specs(4, labels)) == count
+            assert len(labels) == count
+            for row in labels.tolist():
+                RegularSpec(4, tuple(row))
 
     def test_exhaustive_roles_are_basic(self):
         assert (raw_labels(SearchTask(runs=16, n=6))[:, :4] == (1, 2, 4, 8)).all()
@@ -301,8 +301,8 @@ class TestCanonicalize:
         assert self.canonical([a, b]) == self.canonical([b, a]) == canonicalize([a, b])
         assert len(self.canonical([a, b])) == 2
 
-    # r=4 packs 15 labels per word, r=5 12 and r=16 3: one, two and several
-    # words per row, with the last word partly filled
+    # labels of 4, 5 and 16 bits (16 is the widest `designs.MAX_R` allows),
+    # rows of 5 to 16 labels
     @pytest.mark.parametrize("r, n", [(4, 5), (4, 15), (5, 16), (5, 13), (16, 7), (16, 11)])
     def test_packed_sort_matches_reference(self, r, n):
         rng = np.random.default_rng(r * 100 + n)
@@ -409,13 +409,12 @@ class TestWithinColumns:
         row = next(row for row in fixtures(32) if row.n == 13 and row.status == "advisory")
         res = search_within_columns(32, row.columns)
         labels = np.sort(row.columns)[search._role_index(13, True)]
-        labels = labels[admissible_mask(5, labels)]
+        labels = labels[label_mask(5, labels)].tolist()
         assert res.candidates_examined == len(labels) == 7920
-        ev = RegularBatchEvaluator(5, labels)
-        values = np.concatenate([ev.block(l) for l in range(2, 12)], axis=1).tolist()
-        best = min(map(tuple, values))
+        values = [k_from_counts(RegularSpec(5, tuple(columns))).values for columns in labels]
+        best = min(values)
         assert res.best_k.values == best
-        at_best = [columns for columns, k in zip(labels.tolist(), values) if tuple(k) == best]
+        at_best = [columns for columns, k in zip(labels, values) if k == best]
         assert res.minimizers == canonicalize(RegularSpec(5, columns) for columns in at_best)
 
     def test_column_order_does_not_matter(self):
