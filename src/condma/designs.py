@@ -216,17 +216,16 @@ def check_conditions_regular(spec: RegularSpec) -> ConditionReport:
     return ConditionReport(strength2, triples_12, triples_34, quad_1234, tuple(failures))
 
 
-def _assignment_mask(r: int, designs: np.ndarray, index: np.ndarray) -> np.ndarray:
+def _assignment_mask(designs: np.ndarray, index: np.ndarray) -> np.ndarray:
     """(G, A) mask over role assignments: entry (g, a) is True exactly when
-    the label tuple `designs[g, index[a]]` builds a `RegularSpec(r, ...)`
-    passing `check_conditions_regular`.
+    the label tuple `designs[g, index[a]]` passes `check_conditions_regular`.
 
     `designs` is a (G, n) int64 array of column sets and `index` an (A, n)
-    array of column positions, roles first.  Every assignment of a design
-    uses all of its columns, so validity (labels in range, distinct and of
-    rank r) is decided once per design.  A (rows, n) array of label tuples
-    is checked row by row as `designs` under the identity index
-    `np.arange(n)[None]`.
+    array of column positions, roles first.  Every row of `designs` must
+    build a `RegularSpec` (labels in range, distinct, of full rank); the
+    search checks that where a column set enters.  A (rows, n) array of
+    label tuples is checked row by row as `designs` under the identity
+    index `np.arange(n)[None]`.
 
     For distinct nonzero labels with column set S, the conditions reduce
     to three tests on the role pair sums:
@@ -247,21 +246,14 @@ def _assignment_mask(r: int, designs: np.ndarray, index: np.ndarray) -> np.ndarr
     Only the unordered position pairs that `index` puts in a role pair
     get a sum, so the identity index costs two per design.
     """
-    rows, n = designs.shape
-    if n < 5 or not 2 <= r <= MAX_R:
-        return np.zeros((rows, len(index)), dtype=bool)
+    n = designs.shape[1]
     ends = np.sort(index[:, :4].reshape(-1, 2, 2).astype(np.intp), axis=2)
     used, pair = np.unique(ends[..., 0] * n + ends[..., 1], return_inverse=True)
     pair = pair.reshape(-1, 2)
     sums = designs[:, used // n] ^ designs[:, used % n]  # (G, pairs)
     outside = ~np.any(sums[:, :, None] == designs[:, None, :], axis=2)
     ok = outside[:, pair[:, 0]] & outside[:, pair[:, 1]]
-    ok &= sums[:, pair[:, 0]] != sums[:, pair[:, 1]]
-    valid = np.all((designs >= 1) & (designs < 1 << r), axis=1)
-    ordered = np.sort(designs, axis=1)
-    valid &= np.all(ordered[:, 1:] != ordered[:, :-1], axis=1)
-    del ordered  # a full copy of the labels; free it before the elimination
-    return ok & (valid & _rank_mask(designs, r))[:, None]
+    return ok & (sums[:, pair[:, 0]] != sums[:, pair[:, 1]])
 
 
 def _spec_rows(r: int, labels: np.ndarray) -> tuple[RegularSpec, ...]:
@@ -278,14 +270,13 @@ def _spec_rows(r: int, labels: np.ndarray) -> tuple[RegularSpec, ...]:
 
 
 def _rank_mask(labels: np.ndarray, r: int) -> np.ndarray:
-    """Per row: do the labels' low r bits span GF(2)^r?
+    """Per row: do the labels, all below 2**r, span GF(2)^r?
 
     Row-parallel Gaussian elimination, one pivot slot per leading bit.
     """
-    rows = labels.shape[0]
-    pivots = np.zeros((rows, r), dtype=np.int64)
+    pivots = np.zeros((labels.shape[0], r), dtype=np.int64)
     for j in range(labels.shape[1]):
-        v = labels[:, j] & ((1 << r) - 1)
+        v = labels[:, j]
         for bit in range(r - 1, -1, -1):
             lead = (v >> bit) & 1 == 1
             free = lead & (pivots[:, bit] == 0)

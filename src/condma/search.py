@@ -27,37 +27,37 @@ roles, each tuple a design of its own under the identity index (A = 1).
 Either way a chunk holds about `_CHUNK` assignments, and a design with
 more assignments than that is split across slices of the index table.
 
-Each chunk is filtered per design (`designs._assignment_mask`): validity
-(labels in range, distinct, of full rank) once per column set, then the
-admissibility conditions as three tests on the role pair sums, b1^b2 and
-b3^b4 both outside the column set and unequal.  K depends on an
-assignment only through its run histogram H[p, c] (see `aberration`).
-In catalog and within-columns chunks, where a design has many
-assignments and few distinct histograms, the admissible assignments are
-first grouped by an exact signature read from one Walsh-Hadamard
-transform of the design's run weights (`_signature_classes`), and one
-assignment per signature class goes on.  Those assignments' histograms
-(in exhaustive chunks, every admissible assignment's) are built from
-the design's column parities and the four role parities
-(`aberration._run_histograms`), deduplicated exactly, and only the
-distinct ones are scored.  Candidates are compared by exact
+Validity (labels in range, distinct, of full rank) is checked once per
+column set, where it enters: `parse_catalog` checks catalog entries,
+`search_within_columns` its column set, and the exhaustive generator
+drops rank-deficient tails.  Each chunk then applies the admissibility
+conditions (`designs._assignment_mask`), three tests on the role pair
+sums.  K depends on an assignment only through its run histogram H[p, c]
+(see `aberration`).  In catalog and within-columns chunks, where a
+design has many assignments and few distinct histograms, the admissible
+assignments are first grouped by an exact signature read from one
+Walsh-Hadamard transform of the design's run weights
+(`_signature_classes`), and one assignment per signature class goes on.
+Those assignments' histograms (in exhaustive chunks, every admissible
+assignment's) are built from the design's column parities and the four
+role parities (`aberration._run_histograms`), deduplicated exactly, and
+only the distinct ones are scored.  Candidates are compared by exact
 lexicographic order on the integer K-sequence, in sub-batches of
 distinct histograms by `aberration._lex_minimum`, one l-block at a time
-for the whole sub-batch.  Pruning is batch-wise: after each
-block only the rows equal to the sub-batch's lexicographic minimum go
-on, and the sub-batch is dropped as soon as that minimum's prefix
-exceeds the best sequence seen so far.  Every assignment whose
-histogram attains the minimum is a chunk-level tie, so all K-equal
-minima are returned.
+for the whole sub-batch.  Pruning is batch-wise: after each block only
+the rows equal to the sub-batch's lexicographic minimum go on, and the
+sub-batch is dropped as soon as that minimum's prefix exceeds the best
+sequence seen so far.  Every assignment whose histogram attains the
+minimum is a chunk-level tie, so all K-equal minima are returned.
 
-Each chunk reports its own exact minimum and the candidates achieving
-it, so the merged result is identical for any worker count, chunk order
-or sub-batch size.  Chunks go to a process pool only when the raw
-candidates, counted before any is generated, fill at least two chunks
-per worker; smaller searches run in-process.  The ties stay arrays up to
-the end, where `_canonical_specs` sorts and dedupes them as opaque rows
-of big-endian labels and builds their specs without validating them
-again: every tie passed the filter.
+Each chunk reports its own exact minimum, the candidates achieving it
+and its examined count, so the merged result is identical for any worker
+count, chunk order or sub-batch size.  Chunks go to a process pool only
+when the raw candidates, counted before any is generated, fill at least
+two chunks per worker; smaller searches run in-process.  The ties stay
+arrays up to the end, where `_canonical_specs` sorts and dedupes them as
+opaque rows of big-endian labels and builds their specs without
+validating them again: every tie passed the filter.
 """
 
 from __future__ import annotations
@@ -74,7 +74,7 @@ import numpy as np
 
 from .aberration import KSequence, _lex_minimum, _run_histograms
 from .catalogs import CatalogFile, bundled_catalog, parse_catalog
-from .designs import DesignError, RegularSpec, _assignment_mask, _spec_rows
+from .designs import MAX_R, DesignError, RegularSpec, _assignment_mask, _rank_mask, _spec_rows
 
 _ROLES = (1, 2, 4, 8)
 _CHUNK = 20000
@@ -119,8 +119,8 @@ class SearchTask:
         if self.mode not in ("exhaustive", "catalog"):
             raise DesignError(f"unknown search mode {self.mode!r}")
         r = self.runs.bit_length() - 1
-        if self.runs < 16 or self.runs != 1 << r:
-            raise DesignError(f"run size must be a power of two >= 16, got {self.runs}")
+        if not 4 <= r <= MAX_R or self.runs != 1 << r:
+            raise DesignError(f"run size must be a power of two from 16 to 2**{MAX_R}, got {self.runs}")
         if self.n < 5:
             raise DesignError("need at least five factors")
         if self.n > (1 << r) - 1:
@@ -146,9 +146,9 @@ class SearchResult:
     whose K was determined, shared or not: scored itself, or shared
     through an equal signature or histogram with a scored candidate, and
     so of the same K.
-    ``pruned`` counts candidates dropped beforehand by the admissibility
-    filter (or rank filter).  Both counters are partition independent;
-    only ``wall_time`` varies between reruns.
+    ``pruned`` is the raw count less ``candidates_examined``: invalid
+    column sets and inadmissible assignments.  Both counters are partition
+    independent; only ``wall_time`` varies between reruns.
     """
 
     best_k: KSequence | None
@@ -216,20 +216,21 @@ def _assignment_chunks(designs: np.ndarray, symmetry_pruning: bool) -> Iterator[
 
 
 def _raw_candidates(task: SearchTask) -> tuple[int, Iterator[_Chunk]]:
-    """The number of candidate label tuples before the admissibility
-    filter, and a stream of chunks holding them."""
+    """The number of raw candidate label tuples, and a stream of chunks
+    holding the valid ones among them."""
     if task.mode == "exhaustive":
         pool = [x for x in range(1, 1 << task.r) if x not in _ROLES]
-        return math.comb(len(pool), task.n - 4), _exhaustive_chunks(pool, task.n)
+        return math.comb(len(pool), task.n - 4), _exhaustive_chunks(pool, task.n, task.r)
     designs = _catalog_for(task).designs_for(task.n)
     count = len(designs) * _assignment_count(task.n, task.symmetry_pruning)
     columns = np.sort(np.array(designs, dtype=np.int64).reshape(-1, task.n), axis=1)
     return count, _assignment_chunks(columns, task.symmetry_pruning)
 
 
-def _exhaustive_chunks(pool: list[int], n: int) -> Iterator[_Chunk]:
-    """`_ROLES` followed by each (n-4)-subset of `pool`: each label tuple
-    is a design of its own, under the identity index."""
+def _exhaustive_chunks(pool: list[int], n: int, r: int) -> Iterator[_Chunk]:
+    """`_ROLES` followed by each (n-4)-subset of `pool` that completes them
+    to rank r, each tuple a design of its own under the identity index.
+    The roles span the low four bits, so the rank is 4 + rank(tail >> 4)."""
     tails = itertools.combinations(pool, n - 4)
     identity = np.arange(n)[None]
     while True:
@@ -237,17 +238,19 @@ def _exhaustive_chunks(pool: list[int], n: int) -> Iterator[_Chunk]:
         tail = np.fromiter(flat, dtype=np.int64).reshape(-1, n - 4)
         if not len(tail):
             return
-        yield np.hstack([np.broadcast_to(np.array(_ROLES), (len(tail), 4)), tail]), identity
+        tail = tail[_rank_mask(tail >> 4, r - 4)]
+        if len(tail):
+            yield np.hstack([np.broadcast_to(np.array(_ROLES), (len(tail), 4)), tail]), identity
 
 
 def _evaluate_chunk(
     args: tuple[int, np.ndarray, np.ndarray],
-) -> tuple[tuple[int, ...] | None, np.ndarray, int, int]:
-    """Evaluate one chunk: every assignment `designs[g, index[a]]`.
+) -> tuple[tuple[int, ...] | None, np.ndarray, int]:
+    """Evaluate one chunk of valid column sets: every `designs[g, index[a]]`.
 
     Returns (best K values or None, labels of chunk-level K-minima,
-    examined count, pruned count).  The chunk keeps every candidate tied
-    with its own minimum, so merging chunk results loses no global tie.
+    examined count).  The chunk keeps every candidate tied with its own
+    minimum, so merging chunk results loses no global tie.
 
     K depends on an assignment only through its run histogram, so the
     admissible assignments' histograms are deduplicated exactly and each
@@ -260,7 +263,7 @@ def _evaluate_chunk(
     """
     r, designs, index = args
     n = designs.shape[1]
-    admissible = np.flatnonzero(_assignment_mask(r, designs, index))
+    admissible = np.flatnonzero(_assignment_mask(designs, index))
     step = max(1, _BATCH_ELEMENTS >> r)
     picks, shared = admissible, None
     if len(index) > 1:
@@ -286,7 +289,7 @@ def _evaluate_chunk(
         won[np.concatenate(winners)] = True
     design, assignment = np.divmod(admissible[won[inverse]], len(index))
     tied = designs[design[:, None], index[assignment]]
-    return best, tied, len(admissible), designs.shape[0] * len(index) - len(admissible)
+    return best, tied, len(admissible)
 
 
 def _opaque_rows(rows: np.ndarray) -> np.ndarray:
@@ -342,7 +345,9 @@ def _signature_classes(
     v = np.arange(runs, dtype=small)
     design, assignment = np.divmod(admissible, len(index))
     signature = np.empty((len(admissible), 16), dtype=np.min_scalar_type(len(designs) * runs))
-    used = np.unique(design)
+    fresh = np.ones(len(design), dtype=bool)
+    fresh[1:] = design[1:] != design[:-1]
+    used = design[fresh]
     per = max(1, _BATCH_ELEMENTS // (runs * (n + 1)))
     count = 0
     for lo in range(0, len(used), per):
@@ -388,15 +393,13 @@ def _canonical_specs(r: int, labels: np.ndarray) -> tuple[RegularSpec, ...]:
 
 
 def _merge(
-    results: Iterable[tuple[tuple[int, ...] | None, np.ndarray, int, int]],
-) -> tuple[tuple[int, ...] | None, np.ndarray | None, int, int]:
+    results: Iterable[tuple[tuple[int, ...] | None, np.ndarray, int]],
+) -> tuple[tuple[int, ...] | None, np.ndarray | None, int]:
     best: tuple[int, ...] | None = None
     ties: list[np.ndarray] = []
     examined = 0
-    pruned = 0
-    for cb, ct, ce, cp in results:
+    for cb, ct, ce in results:
         examined += ce
-        pruned += cp
         if cb is None:
             continue
         if best is None or cb < best:
@@ -404,12 +407,12 @@ def _merge(
             ties = [ct]
         elif cb == best:
             ties.append(ct)
-    return best, np.concatenate(ties) if ties else None, examined, pruned
+    return best, np.concatenate(ties) if ties else None, examined
 
 
 def _run_chunks(
     chunks: Iterator[_Chunk], r: int, workers: int
-) -> tuple[tuple[int, ...] | None, np.ndarray | None, int, int]:
+) -> tuple[tuple[int, ...] | None, np.ndarray | None, int]:
     """Evaluate and merge every chunk, in a pool of `workers` processes
     when there is more than one."""
     if workers == 1:
@@ -440,8 +443,9 @@ def _search(
     if raw < _POOL_CHUNKS * workers * _CHUNK:
         workers = 1
     t0 = time.perf_counter()
-    best, ties, examined, pruned = _run_chunks(chunks, r, workers)
+    best, ties, examined = _run_chunks(chunks, r, workers)
     wall = time.perf_counter() - t0
+    pruned = raw - examined
     if best is None:
         return SearchResult(None, (), examined, pruned, wall)
     return SearchResult(
@@ -470,13 +474,17 @@ def search_within_columns(runs: int, columns: Sequence[int], workers: int = 1) -
     This is catalog mode restricted to a single parent design: every
     ordered choice of four role columns (pair swaps deduplicated) is
     evaluated.  Used to vet benchmark rows too large for a full search.
+    The arguments must make a valid `SearchTask` and hold distinct labels;
+    a set with an out-of-range label, or short of rank, admits no assignment.
     """
+    task = SearchTask(runs, len(columns), mode="catalog", workers=workers)
     if len(set(columns)) != len(columns):
         raise DesignError("repeated column label")
-    raw = _assignment_count(len(columns), symmetry_pruning=True)
-    if not all(0 < c < runs for c in columns):
-        # Every assignment uses every column, so a label outside the label
-        # space rejects them all (and may not fit the filter's int64).
+    raw = _assignment_count(task.n, symmetry_pruning=True)
+    try:
+        RegularSpec(task.r, tuple(columns))
+    except DesignError:
+        # Every assignment uses every column, so an invalid set admits none.
         return SearchResult(None, (), 0, raw, 0.0)
     designs = np.sort(np.array([columns], dtype=np.int64), axis=1)
-    return _search(runs, len(columns), raw, _assignment_chunks(designs, True), workers)
+    return _search(runs, task.n, raw, _assignment_chunks(designs, True), workers)

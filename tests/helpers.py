@@ -31,9 +31,19 @@ def random_admissible_spec(rng: random.Random, r: int, n: int) -> RegularSpec:
 
 
 def label_mask(r: int, labels: np.ndarray) -> np.ndarray:
-    """`_assignment_mask` over a (rows, n) array of label tuples: each row
-    its own design, under the identity index."""
-    return _assignment_mask(r, labels, np.arange(labels.shape[1])[None]).ravel()
+    """Label-level admissibility of a (rows, n) array of label tuples: each
+    row builds a `RegularSpec(r, ...)` and, as its own design under the
+    identity index, passes `_assignment_mask`."""
+    valid = np.zeros(len(labels), dtype=bool)
+    for i, row in enumerate(labels.tolist()):
+        try:
+            RegularSpec(r, tuple(row))
+        except DesignError:
+            continue
+        valid[i] = True
+    mask = np.zeros(len(labels), dtype=bool)
+    mask[valid] = _assignment_mask(labels[valid], np.arange(labels.shape[1])[None]).ravel()
+    return mask
 
 
 def load_catalog_generator():

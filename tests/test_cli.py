@@ -168,6 +168,11 @@ class TestSearch:
         assert rc == 1
         assert "force" in capsys.readouterr().err
 
+    def test_runs_beyond_max_r_exit_one(self, capsys):
+        rc = main(["search", "--runs", "131072", "--factors", "17", "--mode", "catalog"])
+        assert rc == 1
+        assert "power of two" in capsys.readouterr().err
+
 
 class TestFixtures:
     def test_list_all(self, capsys):

@@ -5,9 +5,8 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from condma import designs, search
+from condma import designs, gf2, search
 from condma.designs import (
-    MAX_R,
     ConditionReport,
     DesignError,
     FormatError,
@@ -20,7 +19,7 @@ from condma.designs import (
     parse_design_text,
     projection_counts,
 )
-from helpers import label_mask, random_valid_spec
+from helpers import random_valid_spec
 
 
 def spec_and_conditions(r, labels):
@@ -215,60 +214,55 @@ def conditions_by_projection_counts(mat):
 
 
 class TestAdmissibleMask:
+    """`_assignment_mask` on valid column sets; invalid ones are rejected
+    where they enter the search."""
+
     @pytest.mark.parametrize("r", [4, 5, 6])
     def test_matches_reference_on_random_tuples(self, r):
-        # out-of-range labels (0, negatives, 2**r), repeats and dependent
-        # roles all occur; every row is also tried with its pairs swapped
+        # dependent roles and pair sums among the labels all occur; every
+        # row is also tried with its pairs swapped
         rng = random.Random(r)
         rows = []
         for _ in range(1500):
-            n = rng.randint(4, 10)
-            row = [rng.randrange(1, 1 << r) for _ in range(n)]
-            if rng.random() < 0.2:
-                row[rng.randrange(n)] = rng.choice((0, -1, 1 << r, 1 << (r + 1)))
+            row = rng.sample(range(1, 1 << r), rng.randint(max(5, r), 10))
             rows.append(tuple(row))
             rows.append(tuple(row[2:4] + row[:2] + row[4:]))
+        passed = []
         for n in {len(row) for row in rows}:
-            block = [row for row in rows if len(row) == n]
-            got = label_mask(r, np.array(block)).tolist()
+            block = [row for row in rows if len(row) == n and gf2.rank(row) == r]
+            got = designs._assignment_mask(np.array(block), np.arange(n)[None]).ravel().tolist()
             assert got == [spec_and_conditions(r, row) for row in block]
+            passed += got
+        assert 0 < sum(passed) < len(passed)
 
     def test_rank_deficient_tails(self):
-        # 32-run exhaustive candidates: tails missing the fifth basic
-        # factor leave the labels short of rank 5
+        # 32-run exhaustive candidates: tails missing the fifth basic factor
+        # leave the labels short of rank 5, and the stream leaves them out
+        task = search.SearchTask(runs=32, n=7, force=True)
         pool = [x for x in range(1, 32) if x not in (1, 2, 4, 8)]
         raw = [(1, 2, 4, 8) + tail for tail in combinations(pool, 3)]
-        got = label_mask(5, np.array(raw)).tolist()
-        want = [spec_and_conditions(5, row) for row in raw]
+        want = [row for row in raw if gf2.rank(row) == 5]
+        count, chunks = search._raw_candidates(task)
+        got = [tuple(row) for labels, _ in chunks for row in labels.tolist()]
         assert got == want
-        assert 0 < sum(want) < len(want)
+        assert 0 < len(want) < len(raw) == count
 
     @pytest.mark.parametrize("symmetry_pruning", [True, False])
     def test_per_design_mask_over_the_role_index(self, symmetry_pruning):
-        # column sets that are valid, repeat a label, hold an out-of-range
-        # label or fall short of rank r, under every role assignment
+        # valid column sets under every role assignment
         rng = random.Random(7)
         for r, n in ((4, 5), (4, 7), (5, 6), (5, 8)):
             sets = []
-            for kind in range(24):
-                row = rng.sample(range(1, 1 << r), n)
-                if kind % 4 == 1:
-                    row[rng.randrange(n)] = row[rng.randrange(n)]
-                elif kind % 4 == 2:
-                    row[rng.randrange(n)] = rng.choice((0, -1, 1 << r))
-                elif kind % 4 == 3:
-                    row = rng.sample(range(1, 1 << (r - 1)), n)
-                sets.append(sorted(row))
+            while len(sets) < 24:
+                row = sorted(rng.sample(range(1, 1 << r), n))
+                if gf2.rank(row) == r:
+                    sets.append(row)
             columns = np.array(sets, dtype=np.int64)
             index = search._role_index(n, symmetry_pruning)
-            got = designs._assignment_mask(r, columns, index)
+            got = designs._assignment_mask(columns, index)
             want = [[spec_and_conditions(r, row) for row in labels] for labels in columns[:, index].tolist()]
             assert got.tolist() == want
             assert 0 < got.sum() < got.size
-
-    def test_unsupported_sizes_reject_everything(self):
-        assert not label_mask(4, np.array([[1, 2, 4, 8]])).any()
-        assert not label_mask(MAX_R + 1, np.array([[1, 2, 4, 8, 16]])).any()
 
 
 LABELS_TEXT = """\

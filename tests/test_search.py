@@ -5,7 +5,7 @@ from itertools import combinations, permutations
 import numpy as np
 import pytest
 
-from condma import search
+from condma import gf2, search
 from condma.aberration import _run_histograms, compare_k, k_sequence_fast
 from condma.catalogs import fixtures
 from condma.designs import (
@@ -59,6 +59,15 @@ class TestTaskValidation:
         with pytest.raises(DesignError):
             SearchTask(runs=8, n=6)
 
+    def test_runs_beyond_max_r(self, tmp_path):
+        # the 17 unit labels are admissible, but a search keeps labels in
+        # designs.MAX_R = 16 bits
+        path = tmp_path / "units.cat"
+        path.write_text("131072 17\n17: " + " ".join(str(1 << i) for i in range(17)) + "\n")
+        with pytest.raises(DesignError, match="power of two"):
+            SearchTask(runs=1 << 17, n=17, mode="catalog", catalog_path=str(path))
+        SearchTask(runs=1 << 16, n=17, mode="catalog")
+
     def test_too_many_factors(self):
         with pytest.raises(DesignError):
             SearchTask(runs=16, n=16)
@@ -78,7 +87,8 @@ class TestTaskValidation:
 
 
 def raw_labels(task):
-    """Every raw candidate label tuple of a task, as one (rows, n) array."""
+    """Every candidate label tuple a task streams, as one (rows, n) array;
+    the tasks here stream all of their raw candidates."""
     count, chunks = search._raw_candidates(task)
     labels = np.concatenate([designs[:, index].reshape(-1, task.n) for designs, index in chunks])
     assert len(labels) == count
@@ -142,11 +152,16 @@ class TestEnumeration:
         ],
     )
     def test_raw_count_matches_stream(self, task):
-        # a chunk of G designs and A index rows holds G A candidates
+        # a chunk of G designs and A index rows holds G A candidates; the
+        # exhaustive stream leaves out the tails short of full rank (55 of
+        # the 351 at 32-run n=6), catalog entries are all of full rank
+        deficient = 0
+        if task.mode == "exhaustive":
+            pool = [x for x in range(1, task.runs) if x not in (1, 2, 4, 8)]
+            tails = combinations(pool, task.n - 4)
+            deficient = sum(gf2.rank((1, 2, 4, 8) + tail) < task.r for tail in tails)
         count, chunks = search._raw_candidates(task)
-        assert count == sum(len(designs) * len(index) for designs, index in chunks)
-        res = search_ma(task)
-        assert res.candidates_examined + res.pruned == count
+        assert count == sum(len(designs) * len(index) for designs, index in chunks) + deficient
 
 
 class TestSearch16:
@@ -431,6 +446,19 @@ class TestWithinColumns:
         with pytest.raises(DesignError):
             search_within_columns(16, (1, 2, 4, 8, 8))
 
+    def test_rejects_what_a_search_task_rejects(self):
+        # a 16-run design is no 24-run answer, and a search keeps labels in
+        # designs.MAX_R = 16 bits
+        for runs in (24, 8, 0, 1 << 17):
+            with pytest.raises(DesignError, match="power of two"):
+                search_within_columns(runs, (1, 2, 4, 8, 15))
+        with pytest.raises(DesignError, match="power of two"):
+            search_within_columns(1 << 17, tuple(1 << i for i in range(17)))
+        with pytest.raises(DesignError, match="five factors"):
+            search_within_columns(16, (1, 2, 4, 8))
+        with pytest.raises(DesignError, match="workers"):
+            search_within_columns(16, (1, 2, 4, 8, 15), workers=0)
+
     def test_out_of_range_label_rejects_every_assignment(self):
         for label in (0, 16, 1 << 70):
             res = search_within_columns(16, (1, 2, 4, 8, label))
@@ -440,11 +468,17 @@ class TestWithinColumns:
         assert not res.found
         assert (res.candidates_examined, res.pruned) == (0, 420)
 
+    def test_rank_deficient_set_rejects_every_assignment(self):
+        # label 3 = 1^2 leaves the five columns short of rank 5
+        res = search_within_columns(32, (1, 2, 4, 8, 3))
+        assert not res.found
+        assert (res.candidates_examined, res.pruned) == (0, 60)
+
 
 def signature_and_histogram_classes(r, designs, index):
     """For every admissible assignment of a (G, n) array of sorted column
     sets under `index`: its signature class and its run histogram class."""
-    admissible = np.flatnonzero(_assignment_mask(r, designs, index))
+    admissible = np.flatnonzero(_assignment_mask(designs, index))
     reps, signature = search._signature_classes(r, designs, index, admissible)
     hists = _run_histograms(r, designs, index, admissible, len(admissible))
     _, histogram = np.unique(search._opaque_rows(hists), return_inverse=True)
