@@ -61,8 +61,7 @@ def _load(path: str) -> tuple[RegularSpec | None, np.ndarray]:
 
 def _print_k(seq, as_json: bool) -> None:
     labels = entry_labels(seq.n)
-    n2 = seq.runs * seq.runs
-    divisible = all(v % n2 == 0 for v in seq.values)
+    aliases = seq.alias_counts()
     if as_json:
         doc = {
             "n": seq.n,
@@ -70,15 +69,15 @@ def _print_k(seq, as_json: bool) -> None:
             "order": list(labels),
             "values_times_N2": list(seq.values),
         }
-        if divisible:
-            doc["alias_counts"] = [v // n2 for v in seq.values]
+        if aliases is not None:
+            doc["alias_counts"] = list(aliases)
         print(json.dumps(doc))
         return
     print(f"runs={seq.runs} factors={seq.n}")
-    if divisible:
+    if aliases is not None:
         print(f"{'entry':>8}  {'aliases':>8}  {'N^2*K':>10}")
-        for lab, v in zip(labels, seq.values):
-            print(f"{lab:>8}  {v // n2:>8}  {v:>10}")
+        for lab, a, v in zip(labels, aliases, seq.values):
+            print(f"{lab:>8}  {a:>8}  {v:>10}")
     else:
         print(f"{'entry':>8}  {'N^2*K':>10}")
         for lab, v in zip(labels, seq.values):
@@ -163,9 +162,20 @@ def _max_diagonal_deviation(n: int, prior: PriorSpec) -> float:
 
 
 def _cmd_prior(args) -> int:
+    """Print the variance ladder.  It strictly decreases for rho > 0 (each
+    step divides by 1 + rho, 1/(1 - rho) or 1/(1 - rho**2)), so a float
+    ladder that does not is refused: double precision cannot resolve it."""
+    if args.n < 4:
+        raise ValueError(f"n={args.n}: need n >= 4")
     prior = PriorSpec(rho=args.rho, sigma2=args.sigma2)
-    ladder = hierarchy_sequence(args.n, prior)
+    where = f"n={args.n}, rho={args.rho}"
+    try:
+        ladder = hierarchy_sequence(args.n, prior)
+    except OverflowError:
+        raise ValueError(f"{where}: the variances overflow double precision") from None
     decreasing = all(a[1] > b[1] for a, b in zip(ladder, ladder[1:]))
+    if args.rho > 0 and not decreasing:
+        raise ValueError(f"{where}: double precision cannot resolve the strictly decreasing ladder")
     max_dev = _max_diagonal_deviation(args.n, prior) if args.n <= 20 else None
     if args.json:
         print(
@@ -212,8 +222,7 @@ def _print_result(res: SearchResult, all_minima: bool) -> None:
         return
     print(f"candidates examined: {res.candidates_examined}  dropped before evaluation: {res.pruned}")
     print(f"wall time: {res.wall_time:.2f}s")
-    n2 = res.best_k.runs ** 2
-    aliases = " ".join(str(v // n2) for v in res.best_k.values)
+    aliases = " ".join(map(str, res.best_k.alias_counts()))
     print(f"best K (alias-count units): {aliases}")
     print(f"K-equal minimizers: {len(res.minimizers)}")
     shown = res.minimizers if all_minima else res.minimizers[:1]
@@ -229,7 +238,6 @@ def _cmd_search(args) -> int:
         n=args.factors,
         mode=args.mode,
         catalog_path=args.catalog,
-        symmetry_pruning=not args.no_symmetry,
         workers=args.workers,
         force=args.force,
     )
@@ -351,7 +359,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--catalog", help="catalog file (default: bundled)")
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--all-minima", action="store_true")
-    p.add_argument("--no-symmetry", action="store_true", help="disable pair-swap deduplication")
     p.add_argument("--force", action="store_true", help="allow exhaustive mode beyond 16 runs")
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=_cmd_search)
@@ -373,8 +380,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (DesignError, FormatError, OSError, ValueError) as exc:
         print(f"condma: {exc}", file=sys.stderr)
         return 1
-    except AssertionError as exc:
-        print(f"condma: internal assertion failed: {exc}", file=sys.stderr)
+    except Exception as exc:
+        print(f"condma: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 
 

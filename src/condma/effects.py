@@ -30,6 +30,7 @@ strictly decreasing along the ladder (0,1), (1,1), (0,2), (1,2), (2,2),
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -69,8 +70,8 @@ class PriorSpec:
     def __post_init__(self) -> None:
         if not 0.0 <= self.rho < 1.0:
             raise ValueError(f"rho={self.rho} outside [0, 1)")
-        if self.sigma2 <= 0.0:
-            raise ValueError(f"sigma2={self.sigma2} must be positive")
+        if not 0.0 < self.sigma2 < math.inf:
+            raise ValueError(f"sigma2={self.sigma2} must be positive and finite")
 
 
 def _kron_all(*mats: np.ndarray) -> np.ndarray:

@@ -10,18 +10,18 @@ Two modes:
   factors, which permutes runs and therefore preserves every K entry.
 * ``catalog``: walk a catalog of class representatives and try every
   ordered assignment of four of each design's columns to the roles,
-  keeping assignments that satisfy the admissibility conditions.  With
-  symmetry pruning on, assignments that merely swap the two
-  conditional/conditioning pairs are generated once (K is invariant
-  under the swap).
+  keeping assignments that satisfy the admissibility conditions.  Of two
+  assignments that swap the conditional/conditioning pairs only one is
+  generated: K is invariant under the swap, so swapping a minimizer's
+  pairs gives the other orientation, with the same K.
 
 The search carries candidates per design, never as one Python tuple
 each.  A chunk is a pair (designs, index): a (G, n) int64 array of column
 sets and an (A, n) array of column positions, roles first; it holds the
 G A label tuples designs[g, index[a]].  Catalog mode sorts each design's
 columns and takes `index` from one cached table of role assignments per
-(n, symmetry_pruning) (`_role_index`); with sorted columns the pair-swap
-rule and the sorted tail read the same on positions as on labels.
+n (`_role_index`); with sorted columns the pair-swap rule and the sorted
+tail read the same on positions as on labels.
 Exhaustive mode packs `itertools.combinations` tails behind the fixed
 roles, each tuple a design of its own under the identity index (A = 1).
 Either way a chunk holds about `_CHUNK` assignments, and a design with
@@ -102,16 +102,14 @@ class SearchTask:
     ``exhaustive`` mode is intended for 16 runs, where it is fast and
     provably complete; pass ``force=True`` to run it anyway at 32 runs.
     ``catalog`` mode reads ``catalog_path`` or, when that is None, the
-    bundled catalog for the run size.  ``symmetry_pruning`` generates
-    each pair-swapped role assignment once; it changes nothing in the
-    result and exists so the equivalence can be switched off and tested.
+    bundled catalog for the run size, and tries one of each two role
+    assignments that swap the pairs (`_role_index`).
     """
 
     runs: int
     n: int
     mode: str = "exhaustive"
     catalog_path: str | None = None
-    symmetry_pruning: bool = True
     workers: int = 1
     force: bool = False
 
@@ -172,19 +170,14 @@ def _catalog_for(task: SearchTask) -> CatalogFile:
     return cat
 
 
-def _assignment_count(n: int, symmetry_pruning: bool) -> int:
-    """How many rows `_role_index(n, symmetry_pruning)` holds."""
-    return math.perm(n, 4) // (2 if symmetry_pruning else 1)
-
-
 @lru_cache(maxsize=16)
-def _role_index(n: int, symmetry_pruning: bool) -> np.ndarray:
+def _role_index(n: int) -> np.ndarray:
     """Every ordered choice of four role positions out of n, in
     `itertools.permutations(range(n), 4)` order, each followed by the other
     positions ascending: a read-only (assignments, n) array in the smallest
     dtype that holds n (the table stays cached; as intp it held 2.8 MB at
-    n=16).  With symmetry pruning, of two choices that swap the pairs only
-    the one whose first pair starts lower is kept.
+    n=16).  Of two choices that swap the pairs only the one whose first
+    pair starts lower is kept (b1 < b3).
 
     Built from the product of four position ranges, whose lexicographic
     order the filters keep: 6 ms cold at n=16 on 2 vCPUs, where one Python
@@ -192,8 +185,7 @@ def _role_index(n: int, symmetry_pruning: bool) -> np.ndarray:
     """
     small = np.min_scalar_type(n)
     b1, b2, b3, b4 = np.indices((n,) * 4, dtype=small).reshape(4, -1)
-    keep = (b1 != b2) & (b3 != b4) & (b1 != b4) & (b2 != b3) & (b2 != b4)
-    keep &= b1 < b3 if symmetry_pruning else b1 != b3
+    keep = (b1 != b2) & (b3 != b4) & (b1 != b4) & (b2 != b3) & (b2 != b4) & (b1 < b3)
     roles = np.stack([b1[keep], b2[keep], b3[keep], b4[keep]], axis=1)
     free = np.ones((len(roles), n), dtype=bool)
     np.put_along_axis(free, roles.astype(np.intp), False, axis=1)
@@ -203,11 +195,11 @@ def _role_index(n: int, symmetry_pruning: bool) -> np.ndarray:
     return index
 
 
-def _assignment_chunks(designs: np.ndarray, symmetry_pruning: bool) -> Iterator[_Chunk]:
+def _assignment_chunks(designs: np.ndarray) -> Iterator[_Chunk]:
     """Every role assignment of every row of a (designs, n) array of sorted
     column sets, as chunks of at most `_CHUNK` assignments: whole designs
     grouped with the whole index table, or one design with a slice of it."""
-    index = _role_index(designs.shape[1], symmetry_pruning)
+    index = _role_index(designs.shape[1])
     per = max(1, _CHUNK // max(1, len(index)))
     for start in range(0, len(designs), per):
         group = designs[start : start + per]
@@ -222,9 +214,8 @@ def _raw_candidates(task: SearchTask) -> tuple[int, Iterator[_Chunk]]:
         pool = [x for x in range(1, 1 << task.r) if x not in _ROLES]
         return math.comb(len(pool), task.n - 4), _exhaustive_chunks(pool, task.n, task.r)
     designs = _catalog_for(task).designs_for(task.n)
-    count = len(designs) * _assignment_count(task.n, task.symmetry_pruning)
     columns = np.sort(np.array(designs, dtype=np.int64).reshape(-1, task.n), axis=1)
-    return count, _assignment_chunks(columns, task.symmetry_pruning)
+    return len(columns) * len(_role_index(task.n)), _assignment_chunks(columns)
 
 
 def _exhaustive_chunks(pool: list[int], n: int, r: int) -> Iterator[_Chunk]:
@@ -480,11 +471,11 @@ def search_within_columns(runs: int, columns: Sequence[int], workers: int = 1) -
     task = SearchTask(runs, len(columns), mode="catalog", workers=workers)
     if len(set(columns)) != len(columns):
         raise DesignError("repeated column label")
-    raw = _assignment_count(task.n, symmetry_pruning=True)
+    raw = len(_role_index(task.n))
     try:
         RegularSpec(task.r, tuple(columns))
     except DesignError:
         # Every assignment uses every column, so an invalid set admits none.
         return SearchResult(None, (), 0, raw, 0.0)
     designs = np.sort(np.array([columns], dtype=np.int64), axis=1)
-    return _search(runs, task.n, raw, _assignment_chunks(designs, True), workers)
+    return _search(runs, task.n, raw, _assignment_chunks(designs), workers)

@@ -128,6 +128,35 @@ class TestPrior:
         assert main(["prior", "--n", "21", "--rho", "0.3"]) == 0
         assert "max |diagonal" not in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            # every variance underflows to 0
+            (["--n", "600", "--rho", "0.5"], "n=600, rho=0.5: double precision cannot resolve"),
+            # the step ratio 1/(1 - rho**2) rounds to 1
+            (["--n", "8", "--rho", "1e-9"], "n=8, rho=1e-09: double precision cannot resolve"),
+            (["--n", "2000", "--rho", "0.5"], "n=2000, rho=0.5: the variances overflow"),
+            (["--n", "2000", "--rho", "0.5", "--json"], "n=2000, rho=0.5: the variances overflow"),
+            (["--n", "6", "--rho", "0.3", "--sigma2", "inf"], "sigma2=inf must be positive and finite"),
+            (["--n", "6", "--rho", "0.3", "--sigma2", "nan"], "sigma2=nan must be positive and finite"),
+            (["--n", "-3", "--rho", "0.3"], "n=-3: need n >= 4"),
+            (["--n", "3", "--rho", "0.3", "--json"], "n=3: need n >= 4"),
+        ],
+    )
+    def test_unresolvable_or_invalid_ladder_exits_one(self, argv, message, capsys):
+        assert main(["prior", *argv]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"condma: {message}")
+        assert err.count("\n") == 1  # one line, no traceback
+
+    def test_rho_zero_is_flat(self, capsys):
+        # no hierarchy without correlation: a correct NO, not a refusal
+        assert main(["prior", "--n", "8", "--rho", "0"]) == 0
+        assert "strictly decreasing: NO" in capsys.readouterr().out
+        assert main(["prior", "--n", "8", "--rho", "0", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["strictly_decreasing"] is False
+
     @pytest.mark.parametrize("n", [4, 5, 6, 9])
     def test_blockwise_deviation_matches_per_position_loop(self, n):
         for rho in (0.05, 0.3, 0.77):
@@ -168,6 +197,12 @@ class TestSearch:
         assert rc == 1
         assert "force" in capsys.readouterr().err
 
+    def test_no_symmetry_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["search", "--runs", "16", "--factors", "9", "--mode", "catalog", "--no-symmetry"])
+        assert exc.value.code == 1
+        assert "--no-symmetry" in capsys.readouterr().err
+
     def test_runs_beyond_max_r_exit_one(self, capsys):
         rc = main(["search", "--runs", "131072", "--factors", "17", "--mode", "catalog"])
         assert rc == 1
@@ -197,6 +232,21 @@ class TestFixtures:
         assert row9["note"]
         assert row9["detail"].endswith("; printed labelling K03(1): 3328 vs corrected 3072")
 
+    def test_verify_32_run_table(self, capsys):
+        # n=11 and 12 (*2) are beaten by the catalog optimum and n=13 by a
+        # reassignment of its own columns; n=15 prints label 32
+        rc = main(["fixtures", "--verify", "--runs", "32", "--json"])
+        assert rc == 1
+        rows = {row["n"]: row for row in json.loads(capsys.readouterr().out)["rows"]}
+        outcomes = {n: row["outcome"] for n, row in rows.items()}
+        assert outcomes == {
+            **{n: "ok" for n in (6, 7, 8, 9, 10, 14, 16)},
+            **{n: "mismatch" for n in (11, 12, 13)},
+            15: "skipped",
+        }
+        assert rows[6]["detail"].endswith("printed labelling K12(1): 2048 vs corrected 0")
+        assert rows[14]["detail"].endswith("printed labelling K04(1): 66560 vs corrected 65536")
+
     def test_verify_reports_a_beaten_row(self, monkeypatch, capsys):
         # the n=9 row as printed, without its erratum, is beaten
         row9 = next(row for row in FIXTURES_16 if row.n == 9)
@@ -218,6 +268,14 @@ class TestErrors:
         path = tmp_path / "junk.txt"
         path.write_text("pure nonsense\n")
         assert main(["evaluate", str(path)]) == 1
+
+    def test_unexpected_exception_exits_two(self, monkeypatch, capsys):
+        def fail(task):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr("condma.cli.search_ma", fail)
+        assert main(["search", "--runs", "16", "--factors", "6"]) == 2
+        assert capsys.readouterr().err == "condma: internal error: RuntimeError: boom\n"
 
     def test_bad_usage_exits_one(self):
         with pytest.raises(SystemExit) as exc:

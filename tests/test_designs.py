@@ -247,9 +247,10 @@ class TestAdmissibleMask:
         assert got == want
         assert 0 < len(want) < len(raw) == count
 
-    @pytest.mark.parametrize("symmetry_pruning", [True, False])
-    def test_per_design_mask_over_the_role_index(self, symmetry_pruning):
-        # valid column sets under every role assignment
+    @pytest.mark.parametrize("swapped", [False, True])
+    def test_per_design_mask_over_the_role_index(self, swapped):
+        # valid column sets under every role assignment, in the table's
+        # orientation and with each row's pairs swapped
         rng = random.Random(7)
         for r, n in ((4, 5), (4, 7), (5, 6), (5, 8)):
             sets = []
@@ -258,7 +259,9 @@ class TestAdmissibleMask:
                 if gf2.rank(row) == r:
                     sets.append(row)
             columns = np.array(sets, dtype=np.int64)
-            index = search._role_index(n, symmetry_pruning)
+            index = search._role_index(n)
+            if swapped:
+                index = index[:, [2, 3, 0, 1, *range(4, n)]]
             got = designs._assignment_mask(columns, index)
             want = [[spec_and_conditions(r, row) for row in labels] for labels in columns[:, index].tolist()]
             assert got.tolist() == want

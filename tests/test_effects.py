@@ -25,6 +25,9 @@ def test_prior_spec_validation():
         PriorSpec(rho=-0.1)
     with pytest.raises(ValueError):
         PriorSpec(rho=0.5, sigma2=0.0)
+    for sigma2 in (float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="finite"):
+            PriorSpec(rho=0.5, sigma2=sigma2)
 
 
 def test_classify_effect():

@@ -1,4 +1,5 @@
 import hashlib
+import math
 import random
 from itertools import combinations, permutations
 
@@ -33,13 +34,22 @@ def canonicalize(specs):
     return tuple(RegularSpec(r, columns) for r, columns in sorted(forms))
 
 
-def role_assignments(columns, symmetry_pruning):
-    """Reference role assignments of one column set: every ordered choice
-    of four role columns, pair swaps once when pruning, tail sorted."""
+def every_role_choice(columns):
+    """Every ordered choice of four role columns out of one column set,
+    each followed by the other columns sorted."""
     for roles in permutations(columns, 4):
-        if symmetry_pruning and (roles[0], roles[1]) > (roles[2], roles[3]):
-            continue
         yield roles + tuple(sorted(set(columns).difference(roles)))
+
+
+def role_assignments(columns):
+    """Reference role assignments of one column set: of two choices that
+    swap the pairs, the one whose first pair starts lower."""
+    return (row for row in every_role_choice(columns) if row[0] < row[2])
+
+
+def pair_swap(columns):
+    b1, b2, b3, b4, *tail = columns
+    return (b3, b4, b1, b2, *tail)
 
 
 class TestTaskValidation:
@@ -129,16 +139,18 @@ class TestEnumeration:
     def test_pair_swap_dedup_halves_the_stream(self, tmp_path):
         path = tmp_path / "one.cat"
         path.write_text("16 4\n5: 1 2 4 8 15\n")
-        base = dict(runs=16, n=5, mode="catalog", catalog_path=str(path))
-        pruned = admissible_specs(SearchTask(**base))
-        full = admissible_specs(SearchTask(**base, symmetry_pruning=False))
-        assert len(full) == 2 * len(pruned)
-        # every dropped candidate is the pair swap of a kept one
-        kept = {s.columns for s in pruned}
-        for spec in full:
-            b1, b2, b3, b4 = spec.columns[:4]
-            swap = (b3, b4, b1, b2) + spec.columns[4:]
-            assert spec.columns in kept or swap in kept
+        task = SearchTask(runs=16, n=5, mode="catalog", catalog_path=str(path))
+        stream = [tuple(row) for row in raw_labels(task).tolist()]
+        swaps = [pair_swap(row) for row in stream]
+        # the stream and its pair swaps are every ordered role choice, once
+        assert not set(swaps) & set(stream)
+        assert sorted(stream + swaps) == sorted(every_role_choice((1, 2, 4, 8, 15)))
+        # and a swap has its row's K
+        kept = admissible_specs(task)
+        assert kept
+        for spec in kept:
+            swap = RegularSpec(spec.r, pair_swap(spec.columns))
+            assert k_from_counts(swap) == k_from_counts(spec)
 
     @pytest.mark.parametrize(
         "task",
@@ -147,7 +159,6 @@ class TestEnumeration:
             SearchTask(runs=16, n=12),
             SearchTask(runs=32, n=6, force=True),
             SearchTask(runs=16, n=9, mode="catalog"),
-            SearchTask(runs=16, n=9, mode="catalog", symmetry_pruning=False),
             SearchTask(runs=32, n=8, mode="catalog"),
         ],
     )
@@ -284,13 +295,12 @@ class TestDeterminism:
 
 
 class TestRoleIndex:
-    @pytest.mark.parametrize("symmetry_pruning", [True, False])
-    def test_table_matches_reference(self, symmetry_pruning):
+    def test_table_matches_reference(self):
         for n in range(5, 17):
-            index = search._role_index(n, symmetry_pruning)
-            want = np.array(list(role_assignments(range(n), symmetry_pruning)))
+            index = search._role_index(n)
+            want = np.array(list(role_assignments(range(n))))
             assert index.dtype == np.uint8 and not index.flags.writeable
-            assert len(index) == search._assignment_count(n, symmetry_pruning)
+            assert len(index) == math.perm(n, 4) // 2
             assert np.array_equal(index, want)
 
 
@@ -423,7 +433,7 @@ class TestWithinColumns:
         # distinct one once must keep every assignment tied at the optimum
         row = next(row for row in fixtures(32) if row.n == 13 and row.status == "advisory")
         res = search_within_columns(32, row.columns)
-        labels = np.sort(row.columns)[search._role_index(13, True)]
+        labels = np.sort(row.columns)[search._role_index(13)]
         labels = labels[label_mask(5, labels)].tolist()
         assert res.candidates_examined == len(labels) == 7920
         values = [k_from_counts(RegularSpec(5, tuple(columns))).values for columns in labels]
@@ -491,7 +501,7 @@ class TestSignatureClasses:
     def test_each_signature_class_is_one_histogram_class(self, monkeypatch, r, n):
         rng = random.Random(r * 10 + n)
         designs = np.sort([random_admissible_spec(rng, r, n).columns for _ in range(5)], axis=1)
-        index = search._role_index(n, True)
+        index = search._role_index(n)
         for batch in (1, 1 << 20):  # one design per step, then all in one
             monkeypatch.setattr(search, "_BATCH_ELEMENTS", batch)
             signature, histogram = signature_and_histogram_classes(r, designs, index)
@@ -519,7 +529,7 @@ class TestSignatureClasses:
         else:
             designs = np.sort(search.bundled_catalog(32).designs_for(n), axis=1)
         monkeypatch.setattr(search, "_BATCH_ELEMENTS", 1 << 20)  # every design in one step
-        signature, histogram = signature_and_histogram_classes(5, designs, search._role_index(n, True))
+        signature, histogram = signature_and_histogram_classes(5, designs, search._role_index(n))
         assert len(signature) == admissible
         assert signature.max() + 1 == histogram.max() + 1 == classes
 
@@ -565,9 +575,6 @@ class TestPinnedOutputs:
              (1, 4, 7, 29, 2, 8, 11, 16, 19), (11, 30, 13, 16, 1, 2, 4, 7, 8), 25020, 18828),
             (lambda: search_ma(SearchTask(32, 10, mode="catalog")), "ef3bad00900e4de8", 252,
              (1, 4, 2, 8, 7, 11, 16, 19, 29, 30), (29, 19, 30, 11, 1, 2, 4, 7, 8, 16), 59916, 56004),
-            (lambda: search_ma(SearchTask(32, 8, mode="catalog", symmetry_pruning=False)),
-             "c17bd4852aaf74da", 44,
-             (1, 16, 2, 29, 4, 7, 8, 11), (29, 11, 8, 16, 1, 2, 4, 7), 16200, 9000),
             (lambda: search_ma(SearchTask(16, 9, mode="catalog")), "15e26a9daf2b8311", 140,
              (1, 8, 10, 4, 2, 3, 5, 12, 15), (10, 4, 12, 5, 1, 2, 3, 8, 15), 1404, 6156),
             (lambda: search_ma(SearchTask(32, 8, force=True)), "c17bd4852aaf74da", 16,
@@ -588,7 +595,7 @@ class TestPinnedOutputs:
         ids=[
             *(f"16-exhaustive-n{n}" for n in range(5, 13)),
             *(f"32-catalog-n{n}" for n in range(6, 11)),
-            "32-catalog-n8-unpruned", "16-catalog-n9", "32-exhaustive-n8",
+            "16-catalog-n9", "32-exhaustive-n8",
             "own-columns-n13", "own-columns-n14", "own-columns-n16", "32-catalog-n12-pooled",
         ],
     )
@@ -598,3 +605,14 @@ class TestPinnedOutputs:
         assert len(res.minimizers) == count
         assert (res.minimizers[0].columns, res.minimizers[-1].columns) == (first, last)
         assert (res.candidates_examined, res.pruned) == (examined, pruned)
+
+    def test_pair_swaps_of_the_minimizers(self):
+        # a catalog search lists one orientation per pair swap; the swaps
+        # of its 22 minimizers at 32-run n=8 are 22 more, of the same K
+        res = search_ma(SearchTask(32, 8, mode="catalog"))
+        closure = {m.columns for m in res.minimizers} | {pair_swap(m.columns) for m in res.minimizers}
+        assert len(closure) == 44
+        # the first and last of the 44 a search without the fold listed
+        assert (min(closure), max(closure)) == ((1, 16, 2, 29, 4, 7, 8, 11), (29, 11, 8, 16, 1, 2, 4, 7))
+        for columns in closure:
+            assert k_digest(k_from_counts(RegularSpec(5, columns)).values) == "c17bd4852aaf74da"
