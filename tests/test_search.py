@@ -160,6 +160,7 @@ class TestEnumeration:
             SearchTask(runs=32, n=6, force=True),
             SearchTask(runs=16, n=9, mode="catalog"),
             SearchTask(runs=32, n=8, mode="catalog"),
+            SearchTask(runs=32, n=10, mode="catalog"),
         ],
     )
     def test_raw_count_matches_stream(self, task):
