@@ -178,18 +178,18 @@ def q_polynomial(l: int, c: int, n: int) -> int:
 
 
 @lru_cache(maxsize=64)
-def q_polynomial_table(n: int, lmax: int) -> np.ndarray:
-    """Array Q[l, c] for l = 0..lmax, c = 0..n-4, read-only: int64 when
+def q_polynomial_table(n: int) -> np.ndarray:
+    """Array Q[l, c] for l = 0..n-2, c = 0..n-4, read-only: int64 when
     every entry fits, Python ints (object) otherwise.
 
-    Cached per (n, lmax): every design with n factors shares one table.
+    Cached per n: every design with n factors shares one table.
     The rows come from `q_polynomial`'s recursion run over every c at once,
     in Python ints.
     """
     m = n - 4
     first = [2 * c - m for c in range(m + 1)]
-    rows = [[1] * (m + 1), first][: lmax + 1]
-    for k in range(2, lmax + 1):
+    rows = [[1] * (m + 1), first]
+    for k in range(2, n - 1):
         row = []
         for c, (x, cur, prev) in enumerate(zip(first, rows[-1], rows[-2])):
             q, rem = divmod(x * cur - (m + 2 - k) * prev, k)
@@ -197,7 +197,7 @@ def q_polynomial_table(n: int, lmax: int) -> np.ndarray:
                 raise AssertionError(f"Q recursion not integral at l={k}, c={c}, n={n}")
             row.append(q)
         rows.append(row)
-    table = np.array(rows, dtype=object).reshape(lmax + 1, m + 1)
+    table = np.array(rows, dtype=object)
     if max(abs(x) for x in table.flat) < 1 << 63:
         table = table.astype(np.int64)
     table.setflags(write=False)
@@ -248,7 +248,7 @@ def _pattern_weights(n: int) -> np.ndarray:
     and agreement count c."""
     p = np.arange(16)[:, None]
     terms = _role_terms(*(1 - 2 * ((p >> i) & 1) for i in range(4)))
-    first = (terms[1] + q_polynomial_table(n, n - 2)[1], terms[2])  # G_01, G_11
+    first = (terms[1] + q_polynomial_table(n)[1], terms[2])  # G_01, G_11
     table = np.zeros((6, 3, 16, n - 3), dtype=np.int64)
     for k, unit in enumerate(np.eye(3, dtype=np.int64)):
         for s, g in enumerate(_class_grams(terms, *unit)):
@@ -288,7 +288,7 @@ class FastEvaluator:
             key = (roles[lo : lo + step, None] ^ roles) * width + m - differ
             hist += np.bincount(key.ravel(), minlength=16 * width)
         self._moments = (_pattern_weights(self.n) * hist.reshape(16, width)).sum(axis=2)
-        self._q = q_polynomial_table(self.n, self.n - 2)
+        self._q = q_polynomial_table(self.n)
         self._sum = int(np.abs(self._moments).sum(axis=(1, 2)).max())
         self._qmax = [int(x) for x in np.abs(self._q).max(axis=1)]
 
@@ -364,7 +364,7 @@ def _block_weights(r: int, n: int) -> np.ndarray:
     int64 below 2**63, Python ints (object) beyond.
     """
     runs, width = 1 << r, n - 3
-    table, q = _pattern_weights(n), q_polynomial_table(n, n - 2)
+    table, q = _pattern_weights(n), q_polynomial_table(n)
     if 3 * runs * int(np.abs(table).max()) * int(np.abs(q).max()) >= 1 << 63:
         table, q = table.astype(object), q.astype(object)
     w = sum(table[:, k] * q[k : k + width, None, None] for k in range(3))  # (l, e, p, c)

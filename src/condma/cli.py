@@ -239,7 +239,6 @@ def _cmd_search(args) -> int:
         mode=args.mode,
         catalog_path=args.catalog,
         workers=args.workers,
-        force=args.force,
     )
     res = search_ma(task)
     if args.json:
@@ -260,7 +259,7 @@ def _printed_difference(row: FixtureRow) -> str:
     return "printed labelling has the same K"
 
 
-def _verify_row(row: FixtureRow, workers: int) -> tuple[str, str]:
+def _verify_row(row: FixtureRow) -> tuple[str, str]:
     """(outcome, detail); outcome in {ok, mismatch, skipped}.
 
     An erratum row is verified in its corrected labelling.
@@ -269,13 +268,13 @@ def _verify_row(row: FixtureRow, workers: int) -> tuple[str, str]:
         return "skipped", "row not evaluable"
     fix_k = k_sequence_fast(expand(row.to_spec()))
     if row.runs == 16:
-        res = search_ma(SearchTask(runs=16, n=row.n, mode="exhaustive", workers=workers))
+        res = search_ma(SearchTask(runs=16, n=row.n, mode="exhaustive"))
         scope = "exhaustive search"
     elif row.status == "verified":
-        res = search_ma(SearchTask(runs=32, n=row.n, mode="catalog", workers=workers))
+        res = search_ma(SearchTask(runs=32, n=row.n, mode="catalog"))
         scope = "catalog search"
     else:
-        res = search_within_columns(32, row.columns, workers=workers)
+        res = search_within_columns(32, row.columns)
         scope = "reassignments of its own columns"
     if not res.found:
         return "mismatch", "search found no admissible design"
@@ -309,7 +308,7 @@ def _cmd_fixtures(args) -> int:
                 "note": row.note,
             }
             if args.verify:
-                outcome, detail = _verify_row(row, args.workers)
+                outcome, detail = _verify_row(row)
                 if row.corrected is not None:
                     detail += f"; {_printed_difference(row)}"
                 failed = failed or outcome == "mismatch"
@@ -356,17 +355,15 @@ def _build_parser() -> _Parser:
     p.add_argument("--runs", type=int, required=True)
     p.add_argument("--factors", type=int, required=True)
     p.add_argument("--mode", choices=("exhaustive", "catalog"), default="exhaustive")
-    p.add_argument("--catalog", help="catalog file (default: bundled)")
+    p.add_argument("--catalog", help="catalog file for --mode catalog (default: bundled)")
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--all-minima", action="store_true")
-    p.add_argument("--force", action="store_true", help="allow exhaustive mode beyond 16 runs")
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=_cmd_search)
 
     p = sub.add_parser("fixtures", help="list or re-verify the benchmark tables")
     p.add_argument("--runs", type=int, choices=(16, 32))
     p.add_argument("--verify", action="store_true")
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=_cmd_fixtures)
     return parser

@@ -255,9 +255,12 @@ def prior_cov_beta_diag(n: int, prior: PriorSpec) -> np.ndarray:
 
 
 def variance_formula(n: int, s: int, l: int, prior: PriorSpec) -> float:
-    """Prior variance of a class-(s, l) beta component."""
+    """Prior variance of a class-(s, l) beta component; OverflowError from
+    n = 1024, raised by 2.0**n without building the n-bit integer 1 << n."""
+    if n < 0:
+        raise ValueError(f"n={n}: need n >= 0")
     rho = prior.rho
-    return prior.sigma2 / (1 << n) * (1.0 + rho) ** (n - l - s) * (1.0 - rho) ** l
+    return prior.sigma2 / 2.0**n * (1.0 + rho) ** (n - l - s) * (1.0 - rho) ** l
 
 
 def hierarchy_sequence(n: int, prior: PriorSpec) -> list[tuple[tuple[int, int], float]]:

@@ -2,7 +2,7 @@
 
 Two modes:
 
-* ``exhaustive`` (16 runs): fix the four role columns at labels
+* ``exhaustive`` (any run size): fix the four role columns at labels
   (1, 2, 4, 8) and enumerate every subset of the remaining labels as the
   traditional columns.  This loses nothing: the admissibility conditions
   force the role columns to be independent, and any independent 4-tuple
@@ -99,11 +99,11 @@ _Chunk = tuple[np.ndarray, np.ndarray]
 class SearchTask:
     """What to search: run size, factor count, mode, and parallelism.
 
-    ``exhaustive`` mode is intended for 16 runs, where it is fast and
-    provably complete; pass ``force=True`` to run it anyway at 32 runs.
-    ``catalog`` mode reads ``catalog_path`` or, when that is None, the
-    bundled catalog for the run size, and tries one of each two role
-    assignments that swap the pairs (`_role_index`).
+    ``exhaustive`` mode is complete at every run size (module docstring)
+    and counts C(2**r - 5, n - 4) raw candidates, known before any is built.
+    ``catalog`` mode reads ``catalog_path`` (refused in any other mode) or,
+    when that is None, the bundled catalog for the run size, and tries one
+    of each two role assignments that swap the pairs (`_role_index`).
     """
 
     runs: int
@@ -111,7 +111,6 @@ class SearchTask:
     mode: str = "exhaustive"
     catalog_path: str | None = None
     workers: int = 1
-    force: bool = False
 
     def __post_init__(self) -> None:
         if self.mode not in ("exhaustive", "catalog"):
@@ -123,8 +122,8 @@ class SearchTask:
             raise DesignError("need at least five factors")
         if self.n > (1 << r) - 1:
             raise DesignError(f"n={self.n} infeasible: only {(1 << r) - 1} distinct labels exist")
-        if self.mode == "exhaustive" and self.runs != 16 and not self.force:
-            raise DesignError("exhaustive mode is guarded to 16 runs; pass force=True to override")
+        if self.catalog_path is not None and self.mode != "catalog":
+            raise DesignError(f"a catalog file needs catalog mode, not {self.mode!r}")
         if self.workers < 1:
             raise DesignError("workers must be >= 1")
 

@@ -110,10 +110,10 @@ class TestQPolynomial:
     def test_integrality_high_n(self):
         # the recursion divides by l at every step and raises internally
         # on any remainder; completing the table is the integrality proof
-        table = q_polynomial_table(20, 18)
+        table = q_polynomial_table(20)
         assert table.dtype == np.int64
         # n=72: Q_34(n-4) = C(68, 34) > 2**63, so the table keeps Python ints
-        table = q_polynomial_table(72, 70)
+        table = q_polynomial_table(72)
         assert table.dtype == object
         assert table[34, 68] == comb(68, 34) > 2**63
 
@@ -121,13 +121,13 @@ class TestQPolynomial:
     def test_table_matches_scalar_recursion(self, n):
         # the table runs the recursion over every c at once; n=72 holds
         # Python ints
-        table = q_polynomial_table(n, n - 2)
+        table = q_polynomial_table(n)
         assert table.shape == (n - 1, n - 3)
         assert table.tolist() == [[q_polynomial(l, c, n) for c in range(n - 3)] for l in range(n - 1)]
 
     def test_table_is_shared_and_read_only(self):
-        table = q_polynomial_table(9, 7)
-        assert q_polynomial_table(9, 7) is table
+        table = q_polynomial_table(9)
+        assert q_polynomial_table(9) is table
         with pytest.raises(ValueError):
             table[0, 0] = 5
 

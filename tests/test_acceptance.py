@@ -217,7 +217,7 @@ def test_07_recursion_matches_enumeration():
                 )
                 checked += 1
     print(f"recursion equals subset-product enumeration on {checked} cells (n <= 12)")
-    table = q_polynomial_table(20, 18)
+    table = q_polynomial_table(20)
     assert table.dtype == np.int64
     print("recursion stays integral through n=20")
 

@@ -192,16 +192,41 @@ class TestSearch:
         assert "best K (alias-count units):" in out
         assert "K-equal minimizers:" in out
 
-    def test_guard_without_force(self, capsys):
-        rc = main(["search", "--runs", "32", "--factors", "6"])
-        assert rc == 1
-        assert "force" in capsys.readouterr().err
+    def test_exhaustive_beyond_16_runs(self, capsys):
+        assert main(["search", "--runs", "32", "--factors", "6"]) == 0
+        assert "K-equal minimizers:" in capsys.readouterr().out
+
+    def test_32_run_exhaustive_default_json(self, capsys):
+        # the values of the library's pinned 32-exhaustive-n8 search
+        assert main(["search", "--runs", "32", "--factors", "8", "--json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["mode"] == "exhaustive"
+        assert (doc["minimizer_count"], doc["candidates_examined"], doc["pruned"]) == (16, 12524, 5026)
 
     def test_no_symmetry_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["search", "--runs", "16", "--factors", "9", "--mode", "catalog", "--no-symmetry"])
         assert exc.value.code == 1
         assert "--no-symmetry" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["search", "--runs", "32", "--factors", "6", "--force"], "--force"),
+            (["fixtures", "--runs", "16", "--workers", "2"], "--workers"),
+        ],
+        ids=["search-force", "fixtures-workers"],
+    )
+    def test_retired_flags_are_usage_errors(self, argv, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+        assert flag in capsys.readouterr().err
+
+    def test_catalog_outside_catalog_mode_exits_one(self, tmp_path, capsys):
+        missing = str(tmp_path / "missing.cat")
+        assert main(["search", "--runs", "16", "--factors", "6", "--catalog", missing]) == 1
+        assert "catalog mode" in capsys.readouterr().err
 
     def test_runs_beyond_max_r_exit_one(self, capsys):
         rc = main(["search", "--runs", "131072", "--factors", "17", "--mode", "catalog"])

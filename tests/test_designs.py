@@ -238,7 +238,7 @@ class TestAdmissibleMask:
     def test_rank_deficient_tails(self):
         # 32-run exhaustive candidates: tails missing the fifth basic factor
         # leave the labels short of rank 5, and the stream leaves them out
-        task = search.SearchTask(runs=32, n=7, force=True)
+        task = search.SearchTask(runs=32, n=7)
         pool = [x for x in range(1, 32) if x not in (1, 2, 4, 8)]
         raw = [(1, 2, 4, 8) + tail for tail in combinations(pool, 3)]
         want = [row for row in raw if gf2.rank(row) == 5]

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -161,6 +163,22 @@ def test_specific_diagonal_value():
     # n=5, rho=0.5, class (0, 1): sigma2 * 2^-5 * 1.5^4 * 0.5
     prior = PriorSpec(rho=0.5)
     assert variance_formula(5, 0, 1, prior) == pytest.approx(1.5**4 * 0.5 / 32, rel=1e-12)
+
+
+def test_variance_formula_refuses_huge_n_without_the_n_bit_integer():
+    # 1 << 10**7 alone holds 1.25 MB; 2.0 ** n overflows before allocating
+    prior = PriorSpec(rho=0.5)
+    tracemalloc.start()
+    try:
+        with pytest.raises(OverflowError):
+            variance_formula(10**7, 0, 1, prior)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+    assert variance_formula(1023, 0, 1, prior) == prior.sigma2 / float(1 << 1023) * 1.5**1022 * 0.5
+    with pytest.raises(ValueError):
+        variance_formula(-1, 0, 1, prior)
 
 
 def test_diag_shortcut_matches_full_matrix():

@@ -86,10 +86,18 @@ class TestTaskValidation:
         with pytest.raises(DesignError):
             SearchTask(runs=16, n=4)
 
-    def test_exhaustive_beyond_16_needs_force(self):
-        with pytest.raises(DesignError):
-            SearchTask(runs=32, n=6, mode="exhaustive")
-        SearchTask(runs=32, n=6, mode="exhaustive", force=True)
+    def test_exhaustive_at_every_run_size(self):
+        # the fixed roles lose nothing at any run size (module docstring)
+        assert SearchTask(32, 6).mode == SearchTask(64, 7).mode == "exhaustive"
+        with pytest.raises(TypeError):
+            SearchTask(runs=32, n=6, force=True)
+
+    def test_catalog_path_needs_catalog_mode(self):
+        # exhaustive mode reads no catalog, so a path given to it is refused
+        # before any file is opened
+        with pytest.raises(DesignError, match="catalog mode"):
+            SearchTask(runs=16, n=6, catalog_path="missing.cat")
+        assert SearchTask(runs=16, n=6, mode="catalog", catalog_path="missing.cat").catalog_path
 
     def test_bad_workers(self):
         with pytest.raises(DesignError):
@@ -157,7 +165,7 @@ class TestEnumeration:
         [
             SearchTask(runs=16, n=5),
             SearchTask(runs=16, n=12),
-            SearchTask(runs=32, n=6, force=True),
+            SearchTask(runs=32, n=6),
             SearchTask(runs=16, n=9, mode="catalog"),
             SearchTask(runs=32, n=8, mode="catalog"),
             SearchTask(runs=32, n=10, mode="catalog"),
@@ -410,8 +418,8 @@ class TestCatalogMode:
             exh = search_ma(SearchTask(runs=16, n=n))
             assert cat.best_k == exh.best_k
 
-    def test_force_allows_32_run_exhaustive(self):
-        res = search_ma(SearchTask(runs=32, n=5, mode="exhaustive", force=True))
+    def test_32_run_exhaustive(self):
+        res = search_ma(SearchTask(runs=32, n=5, mode="exhaustive"))
         assert res.found
         for spec in res.minimizers:
             assert check_conditions_regular(spec).ok
@@ -578,7 +586,7 @@ class TestPinnedOutputs:
              (1, 4, 2, 8, 7, 11, 16, 19, 29, 30), (29, 19, 30, 11, 1, 2, 4, 7, 8, 16), 59916, 56004),
             (lambda: search_ma(SearchTask(16, 9, mode="catalog")), "15e26a9daf2b8311", 140,
              (1, 8, 10, 4, 2, 3, 5, 12, 15), (10, 4, 12, 5, 1, 2, 3, 8, 15), 1404, 6156),
-            (lambda: search_ma(SearchTask(32, 8, force=True)), "c17bd4852aaf74da", 16,
+            (lambda: search_ma(SearchTask(32, 8)), "c17bd4852aaf74da", 16,
              (1, 2, 4, 8, 16, 21, 27, 30), (1, 2, 4, 8, 19, 22, 24, 29), 12524, 5026),
             (lambda: search_within_columns(32, OWN_COLUMNS[13], workers=2), "677d0f3a23fdd223", 288,
              (1, 8, 11, 19, 2, 4, 7, 13, 14, 16, 21, 22, 25),

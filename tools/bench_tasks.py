@@ -6,6 +6,7 @@ warm-up run:
     search_16_n9_exhaustive    search_ma(SearchTask(16, 9))
     search_32_n9_catalog       search_ma(SearchTask(32, 9, mode="catalog"))
     search_32_n10_catalog      search_ma(SearchTask(32, 10, mode="catalog"))
+    search_32_n10_exhaustive   search_ma(SearchTask(32, 10))
     fixtures_verify_16         cli.main(["fixtures", "--verify", "--runs", "16"])
     fixtures_verify_32         cli.main(["fixtures", "--verify", "--runs", "32"])
 
@@ -58,6 +59,7 @@ def main(argv=None) -> int:
         "search_16_n9_exhaustive": lambda: search_ma(SearchTask(16, 9)),
         "search_32_n9_catalog": lambda: search_ma(SearchTask(32, 9, mode="catalog")),
         "search_32_n10_catalog": lambda: search_ma(SearchTask(32, 10, mode="catalog")),
+        "search_32_n10_exhaustive": lambda: search_ma(SearchTask(32, 10)),
         "fixtures_verify_16": lambda: fixtures_verify(16),
         "fixtures_verify_32": lambda: fixtures_verify(32),
     }
