@@ -12,6 +12,7 @@ product of u with label b_j is 0, and -1 otherwise.
 
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass, field
 from itertools import product
 from pathlib import Path
@@ -244,12 +245,15 @@ def _assignment_mask(designs: np.ndarray, index: np.ndarray) -> np.ndarray:
     third test.
 
     Only the unordered position pairs that `index` puts in a role pair
-    get a sum, so the identity index costs two per design.
+    get a sum, so the identity index costs two per design.  Positions i, j
+    get the pair id min(i, j) n + max(i, j); the ids present, marked in a
+    length n**2 table, are numbered by a running count, with no sort.
     """
     n = designs.shape[1]
-    ends = np.sort(index[:, :4].reshape(-1, 2, 2).astype(np.intp), axis=2)
-    used, pair = np.unique(ends[..., 0] * n + ends[..., 1], return_inverse=True)
-    pair = pair.reshape(-1, 2)
+    ends = index[:, :4].astype(np.intp)  # positions: pairs 0, 1 and 2, 3
+    ids = np.minimum(ends[:, 0::2], ends[:, 1::2]) * n + np.maximum(ends[:, 0::2], ends[:, 1::2])
+    present = np.bincount(ids.ravel(), minlength=n * n) > 0
+    used, pair = np.flatnonzero(present), (np.cumsum(present) - 1)[ids]
     sums = designs[:, used // n] ^ designs[:, used % n]  # (G, pairs)
     outside = ~np.any(sums[:, :, None] == designs[:, None, :], axis=2)
     ok = outside[:, pair[:, 0]] & outside[:, pair[:, 1]]
@@ -258,14 +262,24 @@ def _assignment_mask(designs: np.ndarray, index: np.ndarray) -> np.ndarray:
 
 def _spec_rows(r: int, labels: np.ndarray) -> tuple[RegularSpec, ...]:
     """One `RegularSpec` per row, built without validation: every row must
-    already be known to pass `RegularSpec`'s checks."""
-    specs = []
-    for start in range(0, len(labels), 2048):  # bounds the Python lists held at once
-        for columns in labels[start : start + 2048].tolist():
-            spec = object.__new__(RegularSpec)
-            object.__setattr__(spec, "r", r)
-            object.__setattr__(spec, "columns", tuple(columns))
-            specs.append(spec)
+    already pass `RegularSpec`'s checks.  `zip` cuts one flat list per block
+    into tuples, with no list per row.  The cyclic GC is paused: 20,160 rows
+    set off about a hundred collections, some over the whole heap, and specs
+    of trusted label rows hold only ints and a tuple: they form no cycle."""
+    new, put = object.__new__, object.__setattr__
+    specs, enabled = [], gc.isenabled()
+    gc.disable()
+    try:
+        for start in range(0, len(labels), 2048):  # bounds the Python list held at once
+            flat = labels[start : start + 2048].ravel().tolist()
+            for columns in zip(*[iter(flat)] * labels.shape[1]):
+                spec = new(RegularSpec)
+                put(spec, "r", r)
+                put(spec, "columns", columns)
+                specs.append(spec)
+    finally:
+        if enabled:
+            gc.enable()
     return tuple(specs)
 
 

@@ -1,3 +1,5 @@
+import gc
+import math
 import random
 import re
 from itertools import combinations
@@ -266,6 +268,68 @@ class TestAdmissibleMask:
             want = [[spec_and_conditions(r, row) for row in labels] for labels in columns[:, index].tolist()]
             assert got.tolist() == want
             assert 0 < got.sum() < got.size
+
+    @pytest.mark.parametrize("n", [13, 14, 16])
+    @pytest.mark.parametrize("chunk", [search._CHUNK, 500])
+    @pytest.mark.parametrize("swapped", [False, True])
+    def test_large_role_tables_in_slices(self, monkeypatch, n, chunk, swapped):
+        # 32-run column sets under the role tables of the advisory rows'
+        # sizes, cut as a search cuts them: each slice's mask is checked on
+        # a seeded sample of its rows
+        monkeypatch.setattr(search, "_CHUNK", chunk)
+        rng = random.Random(n * 1000 + chunk + swapped)
+        sets = []
+        while len(sets) < 2:
+            row = sorted(rng.sample(range(1, 32), n))
+            if gf2.rank(row) == 5:
+                sets.append(row)
+        covered = 0
+        for columns, index in search._assignment_chunks(np.array(sets, dtype=np.int64)):
+            if swapped:
+                index = index[:, [2, 3, 0, 1, *range(4, n)]]
+            got = designs._assignment_mask(columns, index)
+            assert got.shape == (len(columns), len(index))
+            for g in range(len(columns)):
+                for a in rng.sample(range(len(index)), min(40, len(index))):
+                    labels = tuple(columns[g, index[a]].tolist())
+                    assert got[g, a] == spec_and_conditions(5, labels)
+            covered += got.size
+        assert covered == len(sets) * math.perm(n, 4) // 2
+
+
+class TestSpecRows:
+    """`_spec_rows` builds unvalidated specs equal to validated ones."""
+
+    @pytest.mark.parametrize("r, n", [(4, 5), (4, 9), (5, 12), (16, 16)])
+    @pytest.mark.parametrize("dtype", [np.int64, ">u2"])
+    def test_equals_validated_specs(self, r, n, dtype):
+        # rows of 2,048 and more cross a block boundary; at r=16 the labels
+        # reach past the cached small ints
+        rng = random.Random(r * 100 + n)
+        rows = []
+        while len(rows) < 2100:
+            row = tuple(rng.sample(range(1, 1 << r), n))
+            if gf2.rank(row) == r:
+                rows.append(row)
+        got = designs._spec_rows(r, np.array(rows, dtype=dtype))
+        want = tuple(RegularSpec(r, row) for row in rows)
+        assert got == want
+        assert all(type(x) is int for spec in got for x in spec.columns)
+        if r == 16:
+            assert max(max(row) for row in rows) >= 256
+
+    def test_zero_rows(self):
+        assert designs._spec_rows(5, np.zeros((0, 9), dtype=">u2")) == ()
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_gc_state_restored(self, enabled):
+        was = gc.isenabled()
+        try:
+            gc.enable() if enabled else gc.disable()
+            designs._spec_rows(4, np.array([[1, 2, 4, 8, 15]] * 3))
+            assert gc.isenabled() is enabled
+        finally:
+            gc.enable() if was else gc.disable()
 
 
 LABELS_TEXT = """\

@@ -1,6 +1,10 @@
+import concurrent.futures
 import hashlib
 import math
+import os
 import random
+import subprocess
+import sys
 from itertools import combinations, permutations
 
 import numpy as np
@@ -222,12 +226,13 @@ def pool_starts(monkeypatch):
     """Worker counts of the process pools a search starts."""
     started = []
 
-    class RecordingPool(search.ProcessPoolExecutor):
+    class RecordingPool(concurrent.futures.ProcessPoolExecutor):
         def __init__(self, max_workers):
             started.append(max_workers)
             super().__init__(max_workers=max_workers)
 
-    monkeypatch.setattr(search, "ProcessPoolExecutor", RecordingPool)
+    # `search` imports the pool where it starts one
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     return started
 
 
@@ -264,6 +269,20 @@ class TestDeterminism:
         monkeypatch.setattr(search, "_CHUNK", chunk)
         search_ma(SearchTask(runs=16, n=9, workers=2))
         assert pool_starts == ([2] if pooled else [])
+
+    def test_in_process_search_loads_no_pool(self):
+        # a fresh process: the pool's modules load only when a pool starts
+        code = (
+            "import sys, condma\n"
+            "from condma.search import SearchTask, search_ma\n"
+            "assert search_ma(SearchTask(16, 9)).found\n"
+            "print('concurrent.futures.process' in sys.modules)\n"
+        )
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["False"]
 
     def test_large_designs_split_into_chunks(self, monkeypatch, pool_starts):
         # 1,512 assignments per 16-run n=9 design in chunks of 500: each

@@ -7,6 +7,7 @@ warm-up run:
     search_32_n9_catalog       search_ma(SearchTask(32, 9, mode="catalog"))
     search_32_n10_catalog      search_ma(SearchTask(32, 10, mode="catalog"))
     search_32_n10_exhaustive   search_ma(SearchTask(32, 10))
+    within_columns_32_n16      search_within_columns(32, <the 32-run n=16 advisory row>)
     fixtures_verify_16         cli.main(["fixtures", "--verify", "--runs", "16"])
     fixtures_verify_32         cli.main(["fixtures", "--verify", "--runs", "32"])
 
@@ -49,17 +50,20 @@ def main(argv=None) -> int:
     import numpy as np
 
     from condma import cli
-    from condma.search import SearchTask, search_ma
+    from condma.catalogs import fixtures
+    from condma.search import SearchTask, search_ma, search_within_columns
 
     def fixtures_verify(runs: int):
         with contextlib.redirect_stdout(io.StringIO()):
             return cli.main(["fixtures", "--verify", "--runs", str(runs)])
 
+    row16 = next(row for row in fixtures(32) if row.n == 16)
     tasks = {
         "search_16_n9_exhaustive": lambda: search_ma(SearchTask(16, 9)),
         "search_32_n9_catalog": lambda: search_ma(SearchTask(32, 9, mode="catalog")),
         "search_32_n10_catalog": lambda: search_ma(SearchTask(32, 10, mode="catalog")),
         "search_32_n10_exhaustive": lambda: search_ma(SearchTask(32, 10)),
+        "within_columns_32_n16": lambda: search_within_columns(32, row16.columns),
         "fixtures_verify_16": lambda: fixtures_verify(16),
         "fixtures_verify_32": lambda: fixtures_verify(32),
     }
