@@ -38,7 +38,7 @@ from .effects import (
     prior_cov_beta_diag,
     variance_formula,
 )
-from .modelmat import optimality_gap
+from .modelmat import _GAP_TOL, optimality_gap
 from .search import SearchResult, SearchTask, search_ma, search_within_columns
 from .wordcounts import _FAMILIES, a_counts, a_reduced_sequence
 
@@ -94,7 +94,7 @@ def _cmd_check(args) -> int:
     spec, matrix = _load(args.file)
     report = check_conditions_regular(spec) if spec is not None else check_conditions(matrix)
     gap = optimality_gap(matrix)
-    optimal = report.ok and gap <= args.tol
+    optimal = report.ok and gap <= _GAP_TOL
     if args.json:
         print(
             json.dumps(
@@ -123,8 +123,8 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_counts(args) -> int:
-    spec, _ = _load(args.file)
-    if spec is None:
+    spec = load_design_file(args.file)
+    if not isinstance(spec, RegularSpec):
         raise DesignError("counts needs a regular design given by labels")
     vec = a_counts(spec)
     reduced = a_reduced_sequence(spec)
@@ -335,7 +335,6 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("check", help="admissibility conditions and optimality")
     p.add_argument("file")
-    p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=_cmd_check)
 

@@ -70,6 +70,9 @@ def subset_sum_table(pool: Sequence[int], r: int, max_size: int | None = None) -
     return subset_sum_layers(pool, (), r, max_size)[0]
 
 
+_TABLE_ENTRIES = 1 << 24  # the most entries `subset_sum_layers` builds (128 MiB in int64)
+
+
 def subset_sum_layers(
     pool: Sequence[int], extras: Sequence[int], r: int, max_size: int | None = None
 ) -> np.ndarray:
@@ -78,13 +81,17 @@ def subset_sum_layers(
     layers[s] is the `subset_sum_table` of `pool` plus extras[i] for every
     bit i set in s, with rows up to the size of the largest of these
     pools (or `max_size`).  Each extra costs one step per layer it joins,
-    so the pools share the steps over `pool`.
+    so the pools share the steps over `pool`.  Raises ValueError before
+    building anything when the layers would exceed 2**24 entries.
     """
     m = len(pool) + len(extras)
     top = m if max_size is None else max(0, min(max_size, m))
     width = 1 << r
     if not all(0 <= x < width for x in (*pool, *extras)):
         raise ValueError(f"pool elements must be vectors of GF(2)^{r}")
+    entries = (1 << len(extras)) * (top + 1) * width
+    if entries > _TABLE_ENTRIES:
+        raise ValueError(f"subset-sum layers of {entries} entries, over their limit of 2**24")
     # the largest count any row can hold is C(m, k) for k <= top
     dtype = np.int64 if math.comb(m, min(top, m // 2)) < 1 << 63 else object
     layers = np.zeros((1 << len(extras), top + 1, width), dtype=dtype)

@@ -26,6 +26,7 @@ from __future__ import annotations
 import numpy as np
 
 from .designs import as_design_matrix
+from .effects import classify_effect
 
 __all__ = [
     "omega_members",
@@ -40,17 +41,18 @@ __all__ = [
 
 def _role_prefixes() -> dict[int, list[tuple[tuple[int, ...], int]]]:
     """Per s, the role bits (j1, j2, j3, j4) of class s, ascending with j1
-    most significant, each with its share of l: a conditioning bit counts
-    unless its conditional factor is active (`effects.classify_effect`)."""
-    bits = (np.arange(16)[:, None] >> np.arange(3, -1, -1)) & 1
-    j1, j2, j3, j4 = bits.T
-    s = j1 + j3
-    base = s + j2 * (1 - j1) + j4 * (1 - j3)
-    rows = list(zip(map(tuple, bits.tolist()), base.tolist()))
-    return {t: [rows[q] for q in np.flatnonzero(s == t)] for t in (0, 1, 2)}
+    most significant, each with its share of l: the class of the role bits
+    alone (`effects.classify_effect`), (0, 0) for the grand mean's."""
+    out: dict[int, list[tuple[tuple[int, ...], int]]] = {0: [], 1: [], 2: []}
+    for role in np.ndindex(2, 2, 2, 2):
+        s, base = classify_effect(role) or (0, 0)
+        out[s].append((role, base))
+    return out
 
 
 _PREFIXES = _role_prefixes()
+
+_GAP_TOL = 1e-9  # largest |M - N*I| entry certified optimal, here and by `condma check`
 
 
 def _weight_rows(m: int, kmax: int) -> list[np.ndarray]:
@@ -165,6 +167,6 @@ def optimality_gap(matrix: np.ndarray) -> float:
     return float(np.max(np.abs(m - mat.shape[0] * np.eye(m.shape[0]))))
 
 
-def optimality_check(matrix: np.ndarray, tol: float = 1e-9) -> bool:
-    """True when the information matrix is N * identity within `tol`."""
-    return optimality_gap(matrix) <= tol
+def optimality_check(matrix: np.ndarray) -> bool:
+    """True when the information matrix is N * identity within 1e-9 (`_GAP_TOL`)."""
+    return optimality_gap(matrix) <= _GAP_TOL

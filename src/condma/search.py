@@ -462,9 +462,9 @@ def search_ma(task: SearchTask) -> SearchResult:
 def search_within_columns(runs: int, columns: Sequence[int], workers: int = 1) -> SearchResult:
     """Best role assignment using only the given column set.
 
-    This is catalog mode restricted to a single parent design: every
-    ordered choice of four role columns (pair swaps deduplicated) is
-    evaluated.  Used to vet benchmark rows too large for a full search.
+    Catalog mode restricted to one parent design: every ordered choice of
+    four role columns (pair swaps deduplicated) is evaluated.  It serves
+    `fixtures --verify` on the advisory rows and perfbench's `own-columns` workload.
     The arguments must make a valid `SearchTask` and hold distinct labels;
     a set with an out-of-range label, or short of rank, admits no assignment.
     """

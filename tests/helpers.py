@@ -30,6 +30,14 @@ def random_admissible_spec(rng: random.Random, r: int, n: int) -> RegularSpec:
             return spec
 
 
+def wide_spec() -> RegularSpec:
+    """65,536 runs, n=300, roles (1, 2, 4, 8): its subset-sum layers would
+    hold 4 x 299 x 2**16 (78M) entries."""
+    powers = tuple(1 << i for i in range(16))
+    others = [x for x in range(3, 1 << 16) if x & (x - 1)]
+    return RegularSpec(r=16, columns=powers + tuple(others[: 300 - len(powers)]))
+
+
 def label_mask(r: int, labels: np.ndarray) -> np.ndarray:
     """Label-level admissibility of a (rows, n) array of label tuples: each
     row builds a `RegularSpec(r, ...)` and, as its own design under the

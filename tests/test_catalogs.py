@@ -1,3 +1,4 @@
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -36,7 +37,7 @@ class TestParse:
         assert cat.designs_for(5) == ((1, 2, 4, 8, 15),)
         assert cat.designs_for(6) == ((1, 2, 4, 8, 3, 5),)
         assert cat.designs_for(7) == ()
-        assert cat.sizes() == {5: 1, 6: 1}
+        assert Counter(n for n, _ in cat.entries) == {5: 1, 6: 1}
 
     @pytest.mark.parametrize(
         "text",
@@ -55,6 +56,7 @@ class TestParse:
             "16 4\n5: 1 2 3 4 7\n",  # rank-deficient entry
             "16 4\n5: 1 2 4 8 x\n",  # non-integer label
             "16 4\n5: 1 2 4 8 15\n5: 15 8 4 2 1\n",  # duplicate entry
+            "16 4\n4: 1 2 4 8\n",  # fewer than five columns
             "# only comments\n",  # no header
             "",  # empty file
         ],
@@ -78,7 +80,7 @@ class TestBundled:
     def test_16_run_class_counts(self):
         cat = bundled_catalog(16)
         assert (cat.runs, cat.r) == (16, 4)
-        assert cat.sizes() == {
+        assert Counter(n for n, _ in cat.entries) == {
             5: 3, 6: 4, 7: 5, 8: 6, 9: 5, 10: 4,
             11: 3, 12: 2, 13: 1, 14: 1, 15: 1,
         }
@@ -87,7 +89,7 @@ class TestBundled:
         cat = bundled_catalog(32)
         assert (cat.runs, cat.r) == (32, 5)
         expected = [1, 4, 8, 15, 29, 46, 64, 89, 112, 128, 144, 145]
-        assert cat.sizes() == {n: c for n, c in zip(range(5, 17), expected)}
+        assert Counter(n for n, _ in cat.entries) == {n: c for n, c in zip(range(5, 17), expected)}
 
     def test_entries_have_full_rank(self):
         for runs in (16, 32):

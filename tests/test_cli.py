@@ -11,6 +11,8 @@ from condma.effects import PriorSpec, beta_index_bits, classify_effect, prior_co
 from condma.search import SearchTask, search_ma
 from condma.wordcounts import a_counts
 
+from helpers import wide_spec
+
 FLAGSHIP_TEXT = "16 5\nlabels: 1 2 4 8 15\n"
 
 
@@ -89,6 +91,13 @@ class TestCounts:
         assert tuple(doc["a1"]) == vec.a1
         assert tuple(doc["a7"]) == vec.a7
         assert doc["reduced_prefix"] == [0, 0, 1, 0, 0]
+
+    def test_oversized_table_exits_one(self, tmp_path, capsys):
+        spec = wide_spec()
+        path = tmp_path / "wide.txt"
+        path.write_text(f"{spec.runs} {spec.n}\nlabels: {' '.join(map(str, spec.columns))}\n")
+        assert main(["counts", str(path)]) == 1
+        assert "over their limit" in capsys.readouterr().err
 
     def test_matrix_form_rejected(self, tmp_path, capsys):
         mat = expand(RegularSpec(r=4, columns=(1, 2, 4, 8, 15)))
@@ -214,8 +223,9 @@ class TestSearch:
         [
             (["search", "--runs", "32", "--factors", "6", "--force"], "--force"),
             (["fixtures", "--runs", "16", "--workers", "2"], "--workers"),
+            (["check", "d.txt", "--tol", "1e-6"], "--tol"),
         ],
-        ids=["search-force", "fixtures-workers"],
+        ids=["search-force", "fixtures-workers", "check-tol"],
     )
     def test_retired_flags_are_usage_errors(self, argv, flag, capsys):
         with pytest.raises(SystemExit) as exc:

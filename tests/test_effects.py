@@ -181,6 +181,17 @@ def test_variance_formula_refuses_huge_n_without_the_n_bit_integer():
         variance_formula(-1, 0, 1, prior)
 
 
+@pytest.mark.parametrize("n, rho, sigma2", [(4, 0.7, 1.0), (5, 0.5, 1.0), (6, 0.3, 2.0)])
+def test_prior_cov_beta_is_the_transformed_cell_mean_prior(n, rho, sigma2):
+    # beta = T tau with T's columns tau_to_beta(e_i), and tau has the
+    # exchangeable prior sigma2 R^(x)n, so cov(beta) = T sigma2 R^(x)n T^T
+    t = np.column_stack([tau_to_beta(e, n) for e in np.eye(1 << n)])
+    r = np.array([[1.0, rho], [rho, 1.0]])
+    cov_tau = sigma2 * effects._kron_all(*[r] * n)
+    want = t @ cov_tau @ t.T
+    assert np.max(np.abs(prior_cov_beta(n, PriorSpec(rho=rho, sigma2=sigma2)) - want)) < 1e-14
+
+
 def test_diag_shortcut_matches_full_matrix():
     prior = PriorSpec(rho=0.7, sigma2=2.0)
     full = np.diag(prior_cov_beta(6, prior))

@@ -121,6 +121,14 @@ def test_object_rows_are_exact_binomials():
     assert gf2.subset_sum_layers(pool[:66], pool[66:67], 7).dtype == object
 
 
+def test_layers_over_the_entry_limit_are_refused(monkeypatch):
+    # a pool of m zeros in GF(2)^0 gives an (m + 1) x 1 table
+    monkeypatch.setattr(gf2, "_TABLE_ENTRIES", 40)
+    assert gf2.subset_sum_table([0] * 39, 0).size == 40
+    with pytest.raises(ValueError, match="41 entries"):
+        gf2.subset_sum_table([0] * 40, 0)
+
+
 def test_table_rejects_vectors_outside_the_space():
     with pytest.raises(ValueError):
         gf2.subset_sum_table([1, 16], 4)

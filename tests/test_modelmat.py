@@ -223,6 +223,11 @@ def test_full_factorial_optimal():
     assert optimality_gap(mat) < 1e-12
 
 
+def test_tolerance_is_not_settable():
+    with pytest.raises(TypeError):
+        optimality_check(expand(FLAGSHIP), tol=1e-6)
+
+
 def test_repeated_column_not_optimal():
     base = expand(FLAGSHIP)
     doubled = np.hstack([base, base[:, -1:]])

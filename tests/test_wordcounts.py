@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from itertools import combinations
 
 import pytest
@@ -13,7 +14,7 @@ from condma.wordcounts import (
     full_wordlength,
     k_from_counts,
 )
-from helpers import random_admissible_spec
+from helpers import random_admissible_spec, wide_spec
 
 FLAGSHIP = RegularSpec(r=4, columns=(1, 2, 4, 8, 15))
 ROW6 = RegularSpec(r=4, columns=(1, 8, 2, 4, 7, 11))
@@ -125,6 +126,17 @@ class TestKFromCounts:
     def test_orthogonal_design_all_zero(self):
         spec = RegularSpec(r=5, columns=(1, 2, 4, 8, 16))
         assert set(k_from_counts(spec).values) == {0}
+
+    def test_oversized_table_refused_before_allocating(self):
+        spec = wide_spec()
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=r"over their limit of 2\*\*24"):
+                k_from_counts(spec)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 class TestReducedSequence:
