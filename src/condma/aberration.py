@@ -50,7 +50,7 @@ arithmetic picked by the static bound N max|W_l| (every partial sum of
 H @ W_l is at most that, as H >= 0 sums to N): float64 below 2**53, where
 every partial sum is an integer a double holds exactly; int64 below
 2**63; Python ints (object arrays) beyond.  Equal histograms give equal
-K sequences, so a search scores each distinct histogram once.
+K sequences, so they tie in a search's ranking.
 """
 
 from __future__ import annotations
@@ -375,29 +375,25 @@ def _block_weights(r: int, n: int) -> np.ndarray:
     return w
 
 
-def _lex_minimum(
-    r: int, n: int, hists: np.ndarray, bound: tuple[int, ...] | None
-) -> tuple[tuple[int, ...], np.ndarray] | None:
-    """The least K values, in lexicographic order, over a batch of run
-    histograms and the rows attaining them, or None once that minimum's
-    prefix exceeds `bound`.
+def _lex_minimum(r: int, n: int, hists: np.ndarray, step: int) -> tuple[tuple[int, ...], np.ndarray]:
+    """The least K values, in lexicographic order, over a non-empty batch
+    of run histograms, and the rows attaining them.
 
     `hists` is a (rows, 16 (n-3)) array as `_run_histograms` builds it;
     block l of a row is `H @ W_l` with the weights of `_block_weights`,
-    exact in their dtype, and a float64 block is read back as int64.  After
+    exact in their dtype, and a float64 block is read back as int64.  The
+    products run over slices of `step` rows, which keeps each below the
+    size at which BLAS starts threads.  Block 2 covers every row; after
     each block only the rows whose block equals the lexicographic minimum
     among the survivors go on, so the survivors always share their whole
-    prefix and ties stay exact.  Lexicographic comparison is decided at the
-    first differing entry, so a prefix that compares greater than the
-    bound can never beat it, and one that compares smaller always does.
+    prefix, and rows with equal histograms all come back.
     """
     w = _block_weights(r, n)
-    h = hists.astype(w.dtype)
-    alive = np.arange(len(h))
+    h, alive = hists, np.arange(len(hists))
     values: list[int] = []
-    decided_better = bound is None
     for l in range(2, n - 1):
-        block = h @ w[l - 2]
+        parts = [h[lo : lo + step].astype(w.dtype) @ w[l - 2] for lo in range(0, len(h), step)]
+        block = np.concatenate(parts)
         if block.dtype == np.float64:
             block = block.astype(np.int64)
         keep = np.ones(len(block), dtype=bool)
@@ -405,14 +401,7 @@ def _lex_minimum(
             keep &= column == column[keep].min()
         if not keep.all():
             h, alive = h[keep], alive[keep]
-        head = tuple(block[keep][0].tolist())
-        values.extend(head)
-        if decided_better:
-            continue
-        bound_head = bound[len(values) - 6 : len(values)]
-        if head > bound_head:
-            return None
-        decided_better = head < bound_head
+        values.extend(block[keep][0].tolist())
     return tuple(values), alive
 
 

@@ -156,9 +156,12 @@ class FixtureRow:
 
     @property
     def evaluable(self) -> bool:
-        """False when a label falls outside [1, 2^r - 1]."""
-        r = self.runs.bit_length() - 1
-        return all(1 <= x < (1 << r) for x in self.columns)
+        """True exactly when `to_spec()` builds a valid design."""
+        try:
+            self.to_spec()
+        except DesignError:
+            return False
+        return True
 
     def to_spec(self, printed: bool = False) -> RegularSpec:
         """Build the design with the first four columns in the roles.

@@ -40,19 +40,16 @@ Walsh-Hadamard transform of the design's run weights
 (`_signature_classes`), and one assignment per signature class goes on.
 Those assignments' histograms (in exhaustive chunks, every admissible
 assignment's) are built from the design's column parities and the four
-role parities (`aberration._run_histograms`), deduplicated exactly, and
-only the distinct ones are scored.  Candidates are compared by exact
-lexicographic order on the integer K-sequence, in sub-batches of
-distinct histograms by `aberration._lex_minimum`, one l-block at a time
-for the whole sub-batch.  Pruning is batch-wise: after each block only
-the rows equal to the sub-batch's lexicographic minimum go on, and the
-sub-batch is dropped as soon as that minimum's prefix exceeds the best
-sequence seen so far.  Every assignment whose histogram attains the
-minimum is a chunk-level tie, so all K-equal minima are returned.
+role parities (`aberration._run_histograms`) and ranked in one call to
+`aberration._lex_minimum`, by exact lexicographic order on the integer
+K-sequence, one l-block at a time for the whole chunk: after each block
+only the rows equal to the lexicographic minimum go on.  Every
+assignment whose histogram attains the minimum is a chunk-level tie, so
+all K-equal minima are returned.
 
 Each chunk reports its own exact minimum, the candidates achieving it
 and its examined count, so the merged result is identical for any worker
-count, chunk order or sub-batch size.  Chunks go to a process pool only
+count, chunk order or step size.  Chunks go to a process pool only
 when the raw candidates, counted before any is generated, fill at least
 two chunks per worker; smaller searches run in-process.  The ties stay
 arrays up to the end, where `_canonical_specs` sorts and dedupes them as
@@ -78,11 +75,13 @@ from .designs import MAX_R, DesignError, RegularSpec, _assignment_mask, _rank_ma
 
 _ROLES = (1, 2, 4, 8)
 _CHUNK = 20000
-# Working-set bound of an evaluation sub-batch in `_evaluate_chunk`.  A
-# histogram step builds (designs, n, runs) column parities, (rows, 4, runs)
-# role parities and a (rows, runs) key; sizing steps by rows x runs keeps
-# that small at every run size, and keeps each H @ W_l product below the
-# size at which BLAS starts threads (it did at 1 << 15 on 2 vCPUs).
+# Working-set bound, in rows x runs entries, of each step in
+# `_evaluate_chunk`: a signature step's spectra, a histogram step's
+# (designs, n, runs) column parities, (rows, 4, runs) role parities and
+# (rows, runs) key, and a row slice of each H @ W_l product.  Sizing steps
+# by rows x runs keeps them small at every run size, and keeps each
+# product below the size at which BLAS starts threads (it did at 1 << 15
+# on 2 vCPUs).
 _BATCH_ELEMENTS = 1 << 13
 # A search starts a process pool only when its raw candidates fill at
 # least this many chunks per worker.  On a 2-vCPU machine at two workers,
@@ -141,8 +140,8 @@ class SearchResult:
     whose K-sequence equals ``best_k`` exactly, in canonical form and
     order.  ``candidates_examined`` counts every admissible candidate
     whose K was determined, shared or not: scored itself, or shared
-    through an equal signature or histogram with a scored candidate, and
-    so of the same K.
+    through an equal signature with a scored candidate, and so of the
+    same K.
     ``pruned`` is the raw count less ``candidates_examined``: invalid
     column sets and inadmissible assignments.  Both counters are partition
     independent; only ``wall_time`` varies between reruns.
@@ -243,49 +242,39 @@ def _evaluate_chunk(
     minimum, so merging chunk results loses no global tie.
 
     K depends on an assignment only through its run histogram, so the
-    admissible assignments' histograms are deduplicated exactly and each
-    distinct one is scored once, in sub-batches; an assignment ties when
-    its histogram does.  When the index holds more than one assignment per
+    admissible assignments' histograms are ranked in one `_lex_minimum`
+    call; an assignment ties when its histogram does, and equal histograms
+    tie together.  When the index holds more than one assignment per
     design (catalog and within-columns chunks), the assignments are first
     grouped by their exact signature (`_signature_classes`) and only one
     histogram per class is built.  Every step works on at most
     `_BATCH_ELEMENTS` run-by-row entries.
     """
     r, designs, index = args
-    n = designs.shape[1]
     admissible = np.flatnonzero(_assignment_mask(designs, index))
+    if not len(admissible):
+        return None, designs[:0], 0
     step = max(1, _BATCH_ELEMENTS >> r)
     picks, shared = admissible, None
     if len(index) > 1:
         reps, shared = _signature_classes(r, designs, index, admissible)
         picks = admissible[reps]
     hists = _run_histograms(r, designs, index, picks, step)
-    distinct, inverse = np.unique(_opaque_rows(hists), return_inverse=True)
-    distinct = distinct.view(hists.dtype).reshape(len(distinct), hists.shape[1])
+    best, alive = _lex_minimum(r, designs.shape[1], hists, step)
+    won = np.zeros(len(picks), dtype=bool)
+    won[alive] = True
     if shared is not None:
-        inverse = inverse[shared]
-    best: tuple[int, ...] | None = None
-    winners: list[np.ndarray] = []
-    for start in range(0, len(distinct), step):
-        got = _lex_minimum(r, n, distinct[start : start + step], best)
-        if got is None:
-            continue
-        values, alive = got
-        if best is None or values < best:
-            best, winners = values, []
-        winners.append(start + alive)
-    won = np.zeros(len(distinct), dtype=bool)
-    if winners:
-        won[np.concatenate(winners)] = True
-    design, assignment = np.divmod(admissible[won[inverse]], len(index))
+        won = won[shared]
+    design, assignment = np.divmod(admissible[won], len(index))
     tied = designs[design[:, None], index[assignment]]
     return best, tied, len(admissible)
 
 
 def _opaque_rows(rows: np.ndarray) -> np.ndarray:
     """A C-contiguous 2-D array as one `np.void` item per row, which
-    `np.unique` compares whole: on the 25,020 histograms of 32-run catalog
-    n=9, np.unique(axis=0) took 295 ms and this view 9 ms (2 vCPUs)."""
+    `np.unique` compares whole: on the 25,020 assignment signatures of
+    32-run catalog n=9, np.unique(axis=0) took 74 ms and this view 5 ms
+    (2 vCPUs)."""
     return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
 
 
@@ -327,8 +316,9 @@ def _signature_classes(
 
     Designs are handled a step at a time, each step's spectra within
     `_BATCH_ELEMENTS` entries or one design's N (n+1).  Class ids are
-    shared within a step and kept distinct between steps, so the caller
-    still dedupes the representatives' histograms.
+    shared within a step and kept distinct between steps, so two classes
+    from different steps may hold equal histograms; ranking them apart
+    still returns both, since equal histograms tie.
     """
     runs, n = 1 << r, designs.shape[1]
     small = np.min_scalar_type(runs - 1)

@@ -308,8 +308,8 @@ def run_histograms(spec):
 
 def full_k(spec):
     """A spec's whole K sequence from its run histogram, by `_lex_minimum`
-    on a one-row batch with no bound."""
-    values, alive = _lex_minimum(spec.r, spec.n, run_histograms(spec), None)
+    on a one-row batch."""
+    values, alive = _lex_minimum(spec.r, spec.n, run_histograms(spec), 1)
     assert alive.tolist() == [0]
     assert all(type(v) is int for v in values)
     return values
@@ -355,7 +355,7 @@ class TestRegularBatch:
 
 
 class TestLexMinimum:
-    """`_lex_minimum`'s prefix bound, against full sequences compared in Python."""
+    """`_lex_minimum`'s ranking, against full sequences compared in Python."""
 
     @staticmethod
     def batch():
@@ -371,30 +371,17 @@ class TestLexMinimum:
 
     def test_no_bound_ranks_the_whole_batch(self):
         hists, ks, best = self.batch()
-        values, alive = _lex_minimum(5, 9, hists, None)
+        values, alive = _lex_minimum(5, 9, hists, len(hists))
         assert values == best
         assert alive.tolist() == [i for i, k in enumerate(ks) if k == best]
         assert len(alive) >= 2
 
-    def test_bound_equal_to_a_rows_k_keeps_it_and_its_ties(self):
-        hists, ks, best = self.batch()
-        for k in ks:
-            values, alive = _lex_minimum(5, 9, hists, k)
-            assert values == best
-            assert alive.tolist() == [i for i, x in enumerate(ks) if x == best]
-        values, alive = _lex_minimum(5, 9, hists[[3]], ks[3])
-        assert (values, alive.tolist()) == (ks[3], [0])
-
-    @pytest.mark.parametrize("at", [0, 4, 6, 20, 35])
-    def test_first_differing_entry_decides(self, at):
-        # the entry at `at` decides; every later entry of the bound points
-        # the other way, and must not matter
-        hists, _, best = self.batch()
-        rest = len(best) - at - 1
-        above = best[:at] + (best[at] + 1,) + (0,) * rest
-        assert _lex_minimum(5, 9, hists, above)[0] == best
-        below = best[:at] + (best[at] - 1,) + (1 << 70,) * rest
-        assert _lex_minimum(5, 9, hists, below) is None
+    def test_one_row_slices_match_one_slice(self):
+        hists, _, _ = self.batch()
+        values, alive = _lex_minimum(5, 9, hists, len(hists))
+        sliced, sliced_alive = _lex_minimum(5, 9, hists, 1)
+        assert sliced == values
+        assert sliced_alive.tolist() == alive.tolist()
 
 
 class TestCompare:

@@ -168,6 +168,19 @@ class TestConditions:
             spec = random_valid_spec(rng, 4, rng.randrange(5, 9))
             assert check_conditions_regular(spec) == check_conditions(expand(spec))
 
+    @pytest.mark.parametrize("r", [4, 5, 6])
+    def test_regular_shortcut_matches_matrix_check_with_failures(self, r):
+        # random valid specs, admissible or not: the label-space report,
+        # failures included, is the matrix check's
+        rng = random.Random(31 + r)
+        inadmissible = 0
+        for _ in range(270):
+            spec = random_valid_spec(rng, r, rng.randrange(max(5, r), 12))
+            report = check_conditions_regular(spec)
+            assert report == check_conditions(expand(spec))
+            inadmissible += not report.ok
+        assert inadmissible > 0
+
     def test_matches_projection_count_definition(self):
         # perturbed regular matrices: flipped signs, swapped and repeated
         # columns, single flipped entries

@@ -513,6 +513,24 @@ class TestWithinColumns:
         assert (res.candidates_examined, res.pruned) == (0, 60)
 
 
+class TestEvaluateChunk:
+    @pytest.mark.parametrize(
+        "columns, index",
+        [
+            # 1..7 span only three dimensions, so no four roles are independent
+            ((1, 2, 3, 4, 5, 6, 7, 8), search._role_index(8)),
+            # roles (1, 2, 4, 7): 7 = 1^2^4
+            ((1, 2, 4, 7, 8), np.arange(5)[None]),
+        ],
+    )
+    def test_chunk_without_admissible_assignment(self, columns, index):
+        designs = np.array([columns], dtype=np.int64)
+        best, tied, examined = search._evaluate_chunk((4, designs, index))
+        assert best is None
+        assert tied.shape == (0, len(columns))
+        assert examined == 0
+
+
 def signature_and_histogram_classes(r, designs, index):
     """For every admissible assignment of a (G, n) array of sorted column
     sets under `index`: its signature class and its run histogram class."""

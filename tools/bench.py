@@ -11,8 +11,10 @@ each of 16-run n=9, 32-run n=9 and 32-run n=13.  The script exits 1 if
 the routes' K disagree on a design.
 
 `tasks`: seconds of each search and `fixtures --verify` run named in
-`tasks()`, searches at one worker, with the fixtures' exit codes (the
-32-run table exits 1 on its rows n=11, 12 and 13).
+`tasks()`, with the fixtures' exit codes (the 32-run table exits 1 on its
+rows n=11, 12 and 13).  Searches run at one worker, except
+`search_32_n12_catalog_2_workers`, which starts a process pool of two
+for each call, so its figure includes the pool's start-up.
 
 Usage, from the repository root:
 
@@ -115,6 +117,7 @@ def tasks() -> list[dict]:
         "search_32_n9_catalog": lambda: search_ma(SearchTask(32, 9, mode="catalog")),
         "search_32_n10_catalog": lambda: search_ma(SearchTask(32, 10, mode="catalog")),
         "search_32_n10_exhaustive": lambda: search_ma(SearchTask(32, 10)),
+        "search_32_n12_catalog_2_workers": lambda: search_ma(SearchTask(32, 12, mode="catalog", workers=2)),
         "within_columns_32_n16": lambda: search_within_columns(32, row16.columns),
         "fixtures_verify_16": lambda: fixtures_verify(16),
         "fixtures_verify_32": lambda: fixtures_verify(32),
@@ -143,7 +146,8 @@ def main(argv=None) -> int:
         return 1
     doc = {
         "what": "median of timed calls in one process: ms per design of each K route "
-        "and of condma check; wall seconds per end-to-end task at one worker",
+        "and of condma check; wall seconds per end-to-end task, at one worker unless "
+        "the task name gives two",
         "python": platform.python_version(),
         "numpy": np.__version__,
         "cores": len(os.sched_getaffinity(0)),
