@@ -310,49 +310,6 @@ class FastEvaluator:
         return KSequence(self.runs, self.n, tuple(values))
 
 
-def _run_histograms(
-    r: int, designs: np.ndarray, index: np.ndarray, picks: np.ndarray, step: int
-) -> np.ndarray:
-    """Run histograms H[p, c] of chosen role assignments, one row each.
-
-    `designs` is a (G, n) array of admissible column sets, `index` an
-    (A, n) array of column positions (roles first), and `picks` the
-    ascending flat positions g A + a of the assignments
-    `designs[g, index[a]]` to build.  Returns a (len(picks), 16 (n-3))
-    array in the smallest dtype that holds N, with H[p, c] at p (n-3) + c.
-
-    At run v, with odd(b, v) = <b, v> and odd_all(v) the number of odd
-    columns of the design, the key p (n-3) + c is
-
-        (n-4) - odd_all(v) + sum_t ((n-3) 2**t + 1) odd(b_t, v)
-          = (n-4) - odd_all(v) + (n-3) p(v) + popcount(p(v))
-
-    over the four roles b_t, with p(v) = sum_t 2**t odd(b_t, v), since c
-    counts the even ordinary columns.  odd_all is a per-design quantity,
-    so each assignment costs four gathered role parities per run.  A step
-    covers at most `step` picks and the designs they touch.
-    """
-    runs, (_, n) = 1 << r, designs.shape
-    width = 16 * (n - 3)
-    small = np.min_scalar_type(runs - 1)  # labels and runs, for a cheap bitwise_count
-    v = np.arange(runs, dtype=small)
-    out = np.empty((len(picks), width), dtype=np.min_scalar_type(runs))
-    design, assignment = np.divmod(picks, len(index))
-    for lo in range(0, len(picks), step):
-        g = design[lo : lo + step]
-        fresh = np.ones(len(g), dtype=bool)
-        fresh[1:] = g[1:] != g[:-1]
-        local = np.cumsum(fresh) - 1
-        odd = np.bitwise_count(designs[g[fresh]].astype(small)[:, :, None] & v) & 1  # (designs, n, N)
-        b = odd[local[:, None], index[assignment[lo : lo + step], :4]]  # (picks, 4, N)
-        p = b[:, 0] | b[:, 1] << 1 | b[:, 2] << 2 | b[:, 3] << 3
-        key = (n - 3) * p.astype(np.int64) + np.bitwise_count(p)
-        key -= odd.sum(axis=1, dtype=np.int64)[local]
-        key += width * np.arange(len(g))[:, None] + (n - 4)
-        out[lo : lo + step] = np.bincount(key.ravel(), minlength=len(g) * width).reshape(-1, width)
-    return out
-
-
 @lru_cache(maxsize=64)
 def _block_weights(r: int, n: int) -> np.ndarray:
     """W_l for l = 2..n-2, stacked: a read-only (n-3, 16 (n-3), 6) array.
@@ -379,7 +336,7 @@ def _lex_minimum(r: int, n: int, hists: np.ndarray, step: int) -> tuple[tuple[in
     """The least K values, in lexicographic order, over a non-empty batch
     of run histograms, and the rows attaining them.
 
-    `hists` is a (rows, 16 (n-3)) array as `_run_histograms` builds it;
+    `hists` is a (rows, 16 (n-3)) array of H[p, c] at p (n-3) + c;
     block l of a row is `H @ W_l` with the weights of `_block_weights`,
     exact in their dtype, and a float64 block is read back as int64.  The
     products run over slices of `step` rows, which keeps each below the

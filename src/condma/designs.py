@@ -183,32 +183,21 @@ def _balanced_with(mat: np.ndarray, fixed: tuple[int, ...], others: np.ndarray) 
 def check_conditions_regular(spec: RegularSpec) -> ConditionReport:
     """Label-space shortcut for `check_conditions` on a regular spec.
 
-    A projection of a regular design is equifrequent exactly when the
-    projected labels are GF(2) independent; the distinct nonzero labels
-    that `RegularSpec` enforces already give strength two.
+    A projection of a regular design is equifrequent exactly when its
+    labels are independent, and distinct nonzero labels, which
+    `RegularSpec` enforces, are dependent exactly when some of them sum to
+    zero.  With the pair sums s12 = b1^b2 and s34 = b3^b4, (1, 2, j) thus
+    fails exactly when b_j = s12, (3, 4, j) exactly when b_j = s34, and the
+    four role columns are balanced exactly when s12 is none of b3, b4, s34
+    and s34 neither b1 nor b2 (see `_assignment_mask`).  Pairs never fail.
     """
-    cols = spec.columns
-    n = spec.n
-    failures: list[tuple[int, ...]] = []
-    strength2 = True
-
-    triples_12 = True
-    for j in (4, *range(5, n + 1)):
-        if not gf2.is_independent((cols[0], cols[1], cols[j - 1])):
-            triples_12 = False
-            failures.append((1, 2, j))
-
-    triples_34 = True
-    for j in (2, *range(5, n + 1)):
-        if not gf2.is_independent((cols[2], cols[3], cols[j - 1])):
-            triples_34 = False
-            failures.append((3, 4, j))
-
-    quad_1234 = gf2.is_independent(cols[:4])
-    if not quad_1234:
-        failures.append((1, 2, 3, 4))
-
-    return ConditionReport(strength2, triples_12, triples_34, quad_1234, tuple(failures))
+    cols, n = spec.columns, spec.n
+    s12, s34 = cols[0] ^ cols[1], cols[2] ^ cols[3]
+    fail12 = [(1, 2, j) for j in (4, *range(5, n + 1)) if cols[j - 1] == s12]
+    fail34 = [(3, 4, j) for j in (2, *range(5, n + 1)) if cols[j - 1] == s34]
+    quad_1234 = s12 not in (cols[2], cols[3], s34) and s34 not in (cols[0], cols[1])
+    failures = fail12 + fail34 + ([] if quad_1234 else [(1, 2, 3, 4)])
+    return ConditionReport(True, not fail12, not fail34, quad_1234, tuple(failures))
 
 
 def _assignment_mask(designs: np.ndarray, index: np.ndarray) -> np.ndarray:

@@ -18,7 +18,6 @@ import numpy as np
 
 __all__ = [
     "rank",
-    "is_independent",
     "subset_sum_count",
     "subset_sum_table",
     "subset_sum_layers",
@@ -39,11 +38,6 @@ def rank(vectors: Iterable[int]) -> int:
                 break
             v ^= p
     return len(pivots)
-
-
-def is_independent(vectors: Sequence[int]) -> bool:
-    """True when the vectors are GF(2) linearly independent."""
-    return rank(vectors) == len(vectors)
 
 
 def subset_sum_count(pool: Sequence[int], targets: Iterable[int], size: int) -> int:

@@ -33,19 +33,19 @@ column set, where it enters: `parse_catalog` checks catalog entries,
 drops rank-deficient tails.  Each chunk then applies the admissibility
 conditions (`designs._assignment_mask`), three tests on the role pair
 sums.  K depends on an assignment only through its run histogram H[p, c]
-(see `aberration`).  In catalog and within-columns chunks, where a
-design has many assignments and few distinct histograms, the admissible
-assignments are first grouped by an exact signature read from one
-Walsh-Hadamard transform of the design's run weights
-(`_signature_classes`), and one assignment per signature class goes on.
-Those assignments' histograms (in exhaustive chunks, every admissible
-assignment's) are built from the design's column parities and the four
-role parities (`aberration._run_histograms`) and ranked in one call to
-`aberration._lex_minimum`, by exact lexicographic order on the integer
-K-sequence, one l-block at a time for the whole chunk: after each block
-only the rows equal to the lexicographic minimum go on.  Every
-assignment whose histogram attains the minimum is a chunk-level tie, so
-all K-equal minima are returned.
+(see `aberration`).  One walk over the chunk's designs
+(`_histogram_classes`) computes each design's column parities once and
+builds the histograms from them and the four role parities.  In catalog
+and within-columns chunks, where a design has many assignments and few
+distinct histograms, the same parities give an exact signature, read
+from one Walsh-Hadamard transform of the design's run weights, and only
+one histogram per signature class is built; in exhaustive chunks every
+admissible assignment gets its own.  The histograms are ranked in one
+call to `aberration._lex_minimum`, by exact lexicographic order on the
+integer K-sequence, one l-block at a time for the whole chunk: after
+each block only the rows equal to the lexicographic minimum go on.
+Every assignment whose histogram attains the minimum is a chunk-level
+tie, so all K-equal minima are returned.
 
 Each chunk reports its own exact minimum, the candidates achieving it
 and its examined count, so the merged result is identical for any worker
@@ -69,20 +69,22 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .aberration import KSequence, _lex_minimum, _run_histograms
+from .aberration import KSequence, _lex_minimum
 from .catalogs import CatalogFile, bundled_catalog, parse_catalog
 from .designs import MAX_R, DesignError, RegularSpec, _assignment_mask, _rank_mask, _spec_rows
 
 _ROLES = (1, 2, 4, 8)
 _CHUNK = 20000
 # Working-set bound, in rows x runs entries, of each step in
-# `_evaluate_chunk`: a signature step's spectra, a histogram step's
-# (designs, n, runs) column parities, (rows, 4, runs) role parities and
+# `_evaluate_chunk`: a step's (designs, n, runs) column parities and its
+# spectra, a histogram slice's (rows, 4, runs) role parities and
 # (rows, runs) key, and a row slice of each H @ W_l product.  Sizing steps
 # by rows x runs keeps them small at every run size, and keeps each
 # product below the size at which BLAS starts threads (it did at 1 << 15
 # on 2 vCPUs).
 _BATCH_ELEMENTS = 1 << 13
+# Entries in the largest role index table `_role_index` builds (n <= 43).
+_ROLE_ENTRIES = 1 << 26
 # A search starts a process pool only when its raw candidates fill at
 # least this many chunks per worker.  On a 2-vCPU machine at two workers,
 # pooled 32-run catalog searches broke even at two chunks (40,000 raw
@@ -179,8 +181,12 @@ def _role_index(n: int) -> np.ndarray:
 
     Built from the product of four position ranges, whose lexicographic
     order the filters keep: 6 ms cold at n=16 on 2 vCPUs, where one Python
-    `sorted` per `permutations` tuple took 35-57 ms.
+    `sorted` per `permutations` tuple took 35-57 ms.  Raises `DesignError`
+    before building anything when the table would exceed 2**26 entries.
     """
+    entries = math.perm(n, 4) // 2 * n
+    if entries > _ROLE_ENTRIES:
+        raise DesignError(f"the role table for n={n} needs {entries} entries, over its limit of 2**26")
     small = np.min_scalar_type(n)
     b1, b2, b3, b4 = np.indices((n,) * 4, dtype=small).reshape(4, -1)
     keep = (b1 != b2) & (b3 != b4) & (b1 != b4) & (b2 != b3) & (b2 != b4) & (b1 < b3)
@@ -242,30 +248,19 @@ def _evaluate_chunk(
     minimum, so merging chunk results loses no global tie.
 
     K depends on an assignment only through its run histogram, so the
-    admissible assignments' histograms are ranked in one `_lex_minimum`
-    call; an assignment ties when its histogram does, and equal histograms
-    tie together.  When the index holds more than one assignment per
-    design (catalog and within-columns chunks), the assignments are first
-    grouped by their exact signature (`_signature_classes`) and only one
-    histogram per class is built.  Every step works on at most
-    `_BATCH_ELEMENTS` run-by-row entries.
+    admissible assignments' histogram classes (`_histogram_classes`) are
+    ranked in one `_lex_minimum` call; an assignment ties when its class
+    does, and equal histograms tie together.
     """
     r, designs, index = args
     admissible = np.flatnonzero(_assignment_mask(designs, index))
     if not len(admissible):
         return None, designs[:0], 0
-    step = max(1, _BATCH_ELEMENTS >> r)
-    picks, shared = admissible, None
-    if len(index) > 1:
-        reps, shared = _signature_classes(r, designs, index, admissible)
-        picks = admissible[reps]
-    hists = _run_histograms(r, designs, index, picks, step)
-    best, alive = _lex_minimum(r, designs.shape[1], hists, step)
-    won = np.zeros(len(picks), dtype=bool)
+    hists, inverse = _histogram_classes(r, designs, index, admissible)
+    best, alive = _lex_minimum(r, designs.shape[1], hists, max(1, _BATCH_ELEMENTS >> r))
+    won = np.zeros(len(hists), dtype=bool)
     won[alive] = True
-    if shared is not None:
-        won = won[shared]
-    design, assignment = np.divmod(admissible[won], len(index))
+    design, assignment = np.divmod(admissible[won[inverse]], len(index))
     tied = designs[design[:, None], index[assignment]]
     return best, tied, len(admissible)
 
@@ -278,82 +273,105 @@ def _opaque_rows(rows: np.ndarray) -> np.ndarray:
     return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
 
 
-def _signature_classes(
+def _histogram_classes(
     r: int, designs: np.ndarray, index: np.ndarray, admissible: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Group admissible assignments into classes with equal run histograms,
-    without building the histograms.
+    """Run histograms H[p, c] of admissible assignments, one per class of
+    assignments with equal histograms.
 
-    `admissible` holds the ascending flat positions g A + a of the
-    assignments `designs[g, index[a]]`.  Returns (reps, inverse): `reps`
-    the ascending positions into `admissible` of one assignment per class,
-    and `inverse[i]` the position in `reps` of admissible[i]'s class.
+    `designs` is a (G, n) array of valid column sets, `index` an (A, n)
+    array of column positions (roles first), and `admissible` the
+    ascending flat positions g A + a of the assignments
+    `designs[g, index[a]]`.  Returns (hists, inverse): `hists` a
+    (classes, 16 (n-3)) array in the smallest dtype that holds N, with
+    H[p, c] at p (n-3) + c, and `inverse[i]` the row of admissible[i]'s
+    class.  Under the identity index (A = 1) every assignment is its own
+    class, `inverse` the identity.
 
-    The signature.  For a design, let w(v) be the number of odd columns at
-    run v, <b_j, v> = 1, and take its weight spectrum
+    The histogram.  At run v, with odd(b, v) = <b, v> and w(v) the number
+    of odd columns of the design, the key p (n-3) + c is
+
+        (n-4) - w(v) + sum_t ((n-3) 2**t + 1) odd(b_t, v)
+          = (n-4) - w(v) + (n-3) p(v) + popcount(p(v))
+
+    over the four roles b_t, with p(v) = sum_t 2**t odd(b_t, v), since c
+    counts the even ordinary columns.  w is a per-design quantity, so each
+    assignment costs four gathered role parities per run.
+
+    The signature.  Take the design's weight spectrum
 
         F[y, x] = sum_v (-1)**<y, v> [w(v) = x],   y < N, x = 0..n,
 
     one Walsh-Hadamard transform over the runs.  As |F| <= N it is exact in
-    int64 at every r.  An assignment with roles b_1..b_4 reads F at the 16
-    points y_u = XOR of the b_t with u_t = 1 (u = 0..15) of its role span;
-    its signature is the class ids of those 16 rows of F.
+    int64 at every r.  An assignment reads F at the 16 points
+    y_u = XOR of the b_t with u_t = 1 (u = 0..15) of its role span; its
+    signature is the class ids of those 16 rows of F.  With
+    u . p(v) = sum_t u_t <b_t, v> = <y_u, v> mod 2,
 
-    Why equal signatures give equal histograms.  With p(v) the role parity
-    pattern, u . p(v) = sum_t u_t <b_t, v> = <y_u, v> mod 2, so
-    (-1)**(u . p(v)) = (-1)**<y_u, v> and
+        #{v : p(v) = p, w(v) = x} = 1/16 sum_u (-1)**(u . p) F[y_u, x],
 
-        #{v : p(v) = p, w(v) = x} = 1/16 sum_u (-1)**(u . p) F[y_u, x].
+    so H[p, c], the count at x = (n-4) - c + popcount(p), is a function of
+    the 16 rows F[y_u] alone, for any design with the same n.  Conversely,
+    every count with w(v) = x lies in H (popcount(p) <= w(v) <= popcount(p)
+    + n-4), and the 16 points y_u are distinct (the roles are independent),
+    so the transform inverts: equal H give equal rows F[y_u].  Sharing
+    class ids across a step's designs therefore makes its signature
+    classes exactly its histogram classes.
 
-    By `aberration._run_histograms`, c(v) = (n-4) - w(v) + popcount(p(v)),
-    so H[p, c] is the count at x = (n-4) - c + popcount(p): a function of
-    the 16 rows F[y_u] alone, for any design with the same n.  Equal
-    signatures therefore give equal H and equal K, across designs too.
-    Conversely, every count with w(v) = x lies in H (popcount(p) <= w(v)
-    <= popcount(p) + n-4), and the 16 points y_u are distinct (the roles
-    are independent), so the transform inverts: equal H give equal rows
-    F[y_u], and sharing class ids makes the classes exactly H's.
-
-    Designs are handled a step at a time, each step's spectra within
-    `_BATCH_ELEMENTS` entries or one design's N (n+1).  Class ids are
-    shared within a step and kept distinct between steps, so two classes
+    Designs are walked a step at a time, and each step computes their
+    column parities once.  A signature step covers the designs whose
+    spectra fit in `_BATCH_ELEMENTS` entries (or one design's N (n+1)); an
+    identity-index step covers `_BATCH_ELEMENTS >> r` designs.  Histograms
+    are built in slices of at most `_BATCH_ELEMENTS >> r` rows.  Classes
     from different steps may hold equal histograms; ranking them apart
     still returns both, since equal histograms tie.
     """
     runs, n = 1 << r, designs.shape[1]
-    small = np.min_scalar_type(runs - 1)
+    width = 16 * (n - 3)
+    small = np.min_scalar_type(runs - 1)  # labels and runs, for a cheap bitwise_count
     v = np.arange(runs, dtype=small)
+    step = max(1, _BATCH_ELEMENTS >> r)
+    per = step if len(index) == 1 else max(1, _BATCH_ELEMENTS // (runs * (n + 1)))
     design, assignment = np.divmod(admissible, len(index))
-    signature = np.empty((len(admissible), 16), dtype=np.min_scalar_type(len(designs) * runs))
-    fresh = np.ones(len(design), dtype=bool)
-    fresh[1:] = design[1:] != design[:-1]
-    used = design[fresh]
-    per = max(1, _BATCH_ELEMENTS // (runs * (n + 1)))
-    count = 0
-    for lo in range(0, len(used), per):
-        group = used[lo : lo + per]
-        odd = np.bitwise_count(designs[group].astype(small)[:, :, None] & v) & 1
-        weight = odd.sum(axis=1)  # (designs, N)
-        spectrum = (weight[:, :, None] == np.arange(n + 1)).astype(np.int64)
-        half = 1
-        while half < runs:  # one butterfly per run bit
-            pair = spectrum.reshape(len(group), -1, 2, half, n + 1)
-            spectrum = np.stack([pair[:, :, 0] + pair[:, :, 1], pair[:, :, 0] - pair[:, :, 1]], axis=2)
-            half *= 2
-        _, ids = np.unique(_opaque_rows(spectrum.reshape(-1, n + 1)), return_inverse=True)
-        ids = ids.reshape(len(group), runs) + count
-        count = int(ids.max()) + 1
-        start, stop = np.searchsorted(design, [group[0], group[-1] + 1])
-        roles = designs[design[start:stop, None], index[assignment[start:stop], :4]].astype(small)
-        span = np.zeros((stop - start, 1), dtype=small)
-        for t in range(4):  # column u + 2**t is column u XOR b_t
-            span = np.concatenate([span, span ^ roles[:, t : t + 1]], axis=1)
-        signature[start:stop] = ids[np.searchsorted(group, design[start:stop])[:, None], span]
-    _, first, inverse = np.unique(_opaque_rows(signature), return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    rank = np.empty_like(order)
-    rank[order] = np.arange(len(order))
-    return first[order], rank[inverse]
+    edges = np.concatenate(([0], np.flatnonzero(design[1:] != design[:-1]) + 1, [len(design)]))
+    first = edges[:-1]  # each design's first assignment
+    hists, inverse, count = [], [], 0
+    for lo in range(0, len(first), per):
+        group = design[first[lo : lo + per]]
+        start, stop = edges[lo], edges[lo + len(group)]
+        local = np.searchsorted(group, design[start:stop])
+        roles = index[assignment[start:stop], :4]
+        odd = np.bitwise_count(designs[group].astype(small)[:, :, None] & v) & 1  # (designs, n, N)
+        weight = odd.sum(axis=1, dtype=np.int64)  # w(v), (designs, N)
+        classes = np.arange(stop - start)
+        if len(index) > 1:
+            spectrum = (weight[:, :, None] == np.arange(n + 1)).astype(np.int64)
+            half = 1
+            while half < runs:  # one butterfly per run bit
+                pair = spectrum.reshape(len(group), -1, 2, half, n + 1)
+                spectrum = np.stack([pair[:, :, 0] + pair[:, :, 1], pair[:, :, 0] - pair[:, :, 1]], axis=2)
+                half *= 2
+            _, ids = np.unique(_opaque_rows(spectrum.reshape(-1, n + 1)), return_inverse=True)
+            ids = ids.reshape(len(group), runs)
+            labels = designs[design[start:stop, None], roles].astype(small)
+            span = np.zeros((stop - start, 1), dtype=small)
+            for t in range(4):  # column u + 2**t is column u XOR b_t
+                span = np.concatenate([span, span ^ labels[:, t : t + 1]], axis=1)
+            # gathered from intp ids (faster than from narrow ones), narrowed for np.unique
+            signature = ids[local[:, None], span].astype(np.min_scalar_type(len(group) * runs))
+            _, reps, classes = np.unique(_opaque_rows(signature), return_index=True, return_inverse=True)
+            local, roles = local[reps], roles[reps]
+        inverse.append(classes + count)
+        count += len(local)
+        for i in range(0, len(local), step):
+            g = local[i : i + step]
+            b = odd[g[:, None], roles[i : i + step]]  # (rows, 4, N)
+            p = b[:, 0] | b[:, 1] << 1 | b[:, 2] << 2 | b[:, 3] << 3
+            key = (n - 3) * p.astype(np.int64) + np.bitwise_count(p) - weight[g]
+            key += width * np.arange(len(g))[:, None] + (n - 4)
+            hist = np.bincount(key.ravel(), minlength=len(g) * width).reshape(-1, width)
+            hists.append(hist.astype(np.min_scalar_type(runs)))
+    return np.concatenate(hists), np.concatenate(inverse)
 
 
 def _canonical_specs(r: int, labels: np.ndarray) -> tuple[RegularSpec, ...]:

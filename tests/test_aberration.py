@@ -12,7 +12,6 @@ from condma.aberration import (
     FastEvaluator,
     KSequence,
     _lex_minimum,
-    _run_histograms,
     compare_k,
     entry_labels,
     k_sequence_direct,
@@ -23,6 +22,7 @@ from condma.aberration import (
 )
 from condma.designs import DesignError, RegularSpec, check_conditions_regular, expand
 from condma.modelmat import build_x_block
+from condma.search import _histogram_classes
 from condma.wordcounts import k_from_counts
 from helpers import random_admissible_spec, random_valid_spec
 
@@ -303,7 +303,8 @@ class TestRoutesAgreeUpToR7:
 def run_histograms(spec):
     """The (1, 16 (n-3)) run histogram of one spec, its labels as given."""
     labels = np.array([spec.columns], dtype=np.int64)
-    return _run_histograms(spec.r, labels, np.arange(spec.n)[None], np.arange(1), 1)
+    hists, _ = _histogram_classes(spec.r, labels, np.arange(spec.n)[None], np.arange(1))
+    return hists
 
 
 def full_k(spec):

@@ -17,11 +17,6 @@ def test_rank():
     assert gf2.rank([0, 0]) == 0
 
 
-def test_span_and_independence():
-    assert gf2.is_independent([1, 2, 4])
-    assert not gf2.is_independent([1, 2, 3])
-
-
 def test_subset_sum_count_examples():
     # 2^8^15 = 5, the single triple misses target 0
     assert gf2.subset_sum_count([2, 8, 15], [0], 3) == 0

@@ -11,8 +11,9 @@ import numpy as np
 import pytest
 
 from condma import gf2, search
-from condma.aberration import _run_histograms, compare_k, k_sequence_fast
+from condma.aberration import compare_k, k_sequence_fast
 from condma.catalogs import fixtures
+from condma.cli import main
 from condma.designs import (
     DesignError,
     RegularSpec,
@@ -331,6 +332,18 @@ class TestRoleIndex:
             assert len(index) == math.perm(n, 4) // 2
             assert np.array_equal(index, want)
 
+    def test_refuses_a_table_over_its_limit(self, monkeypatch, capsys):
+        # n=8 holds 840 x 8 entries; n=9 holds 1,512 x 9 = 13,608
+        monkeypatch.setattr(search, "_ROLE_ENTRIES", 840 * 8)
+        search._role_index.cache_clear()  # a cached table skips the check
+        assert len(search._role_index(8)) == 840
+        with pytest.raises(DesignError, match="n=9 needs 13608 entries"):
+            search._role_index(9)
+        with pytest.raises(DesignError, match="n=9"):
+            search_within_columns(16, (1, 2, 4, 8, 3, 5, 6, 7, 9))
+        assert main(["search", "--runs", "16", "--factors", "9", "--mode", "catalog"]) == 1
+        assert "n=9 needs 13608 entries" in capsys.readouterr().err
+
 
 class TestCanonicalize:
     """`_canonical_specs` against the pure-Python reference `canonicalize`."""
@@ -531,15 +544,20 @@ class TestEvaluateChunk:
         assert examined == 0
 
 
-def signature_and_histogram_classes(r, designs, index):
+def class_and_reference_histograms(r, designs, index):
     """For every admissible assignment of a (G, n) array of sorted column
-    sets under `index`: its signature class and its run histogram class."""
+    sets under `index`: the class histograms and their inverse map, and the
+    assignment's own histogram, built under the identity index on its
+    explicit label tuple."""
     admissible = np.flatnonzero(_assignment_mask(designs, index))
-    reps, signature = search._signature_classes(r, designs, index, admissible)
-    hists = _run_histograms(r, designs, index, admissible, len(admissible))
-    _, histogram = np.unique(search._opaque_rows(hists), return_inverse=True)
-    assert np.array_equal(signature[reps], np.arange(len(reps)))
-    return signature, histogram
+    hists, inverse = search._histogram_classes(r, designs, index, admissible)
+    design, assignment = np.divmod(admissible, len(index))
+    labels = designs[design[:, None], index[assignment]]
+    identity = np.arange(designs.shape[1])[None]
+    reference, each = search._histogram_classes(r, labels, identity, np.arange(len(labels)))
+    assert np.array_equal(each, np.arange(len(labels)))
+    assert np.array_equal(np.unique(inverse), np.arange(len(hists)))
+    return hists, inverse, reference
 
 
 class TestSignatureClasses:
@@ -550,11 +568,10 @@ class TestSignatureClasses:
         index = search._role_index(n)
         for batch in (1, 1 << 20):  # one design per step, then all in one
             monkeypatch.setattr(search, "_BATCH_ELEMENTS", batch)
-            signature, histogram = signature_and_histogram_classes(r, designs, index)
-            pairs = np.unique(np.stack([signature, histogram], axis=1), axis=0)
-            assert len(pairs) == signature.max() + 1  # a function of the signature
+            hists, inverse, reference = class_and_reference_histograms(r, designs, index)
+            assert np.array_equal(hists[inverse], reference)
         # within one step the classes are exactly the histogram classes
-        assert signature.max() == histogram.max()
+        assert len(hists) == len(np.unique(search._opaque_rows(reference)))
 
     @pytest.mark.parametrize(
         "kind, n, classes, admissible",
@@ -575,9 +592,9 @@ class TestSignatureClasses:
         else:
             designs = np.sort(search.bundled_catalog(32).designs_for(n), axis=1)
         monkeypatch.setattr(search, "_BATCH_ELEMENTS", 1 << 20)  # every design in one step
-        signature, histogram = signature_and_histogram_classes(5, designs, search._role_index(n))
-        assert len(signature) == admissible
-        assert signature.max() + 1 == histogram.max() + 1 == classes
+        hists, inverse, reference = class_and_reference_histograms(5, designs, search._role_index(n))
+        assert len(inverse) == admissible
+        assert len(hists) == len(np.unique(search._opaque_rows(reference))) == classes
 
 
 def k_digest(values):
