@@ -38,7 +38,9 @@ sums.  K depends on an assignment only through its run histogram H[p, c]
 builds the histograms from them and the four role parities.  In catalog
 and within-columns chunks, where a design has many assignments and few
 distinct histograms, the same parities give an exact signature, read
-from one Walsh-Hadamard transform of the design's run weights, and only
+from one Walsh-Hadamard transform of the design's run weights at the 16
+points of the assignment's role span and packed into one int64 key
+(a mixed-radix code, re-ranked before it could overflow), and only
 one histogram per signature class is built; in exhaustive chunks every
 admissible assignment gets its own.  The histograms are ranked in one
 call to `aberration._lex_minimum`, by exact lexicographic order on the
@@ -267,10 +269,46 @@ def _evaluate_chunk(
 
 def _opaque_rows(rows: np.ndarray) -> np.ndarray:
     """A C-contiguous 2-D array as one `np.void` item per row, which
-    `np.unique` compares whole: on the 25,020 assignment signatures of
-    32-run catalog n=9, np.unique(axis=0) took 74 ms and this view 5 ms
-    (2 vCPUs)."""
+    `np.unique` compares whole: on the 20,160 ties of the 32-run n=16
+    within-columns search, as (rows, 16) big-endian uint16 labels with
+    sorted tails, np.unique(axis=0) took 12-18 ms and this view 0.4-0.8 ms
+    (medians of 15 calls, two processes, 2 vCPUs)."""
     return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
+
+
+def _dense_ranks(digits: Iterable[np.ndarray], kinds: int) -> tuple[np.ndarray, int]:
+    """Dense ranks of the rows of a matrix given column by column: `digits`
+    yields equal-length 1-D integer arrays with entries in 0..kinds-1.
+    Returns (ranks, classes): ranks[i] in 0..classes-1, equal for two rows
+    exactly when they agree in every column, in the rows' lexicographic
+    order.
+
+    Each column is folded into one int64 key, key * kinds + digit, as soon
+    as it is yielded; the keys are re-ranked to 0..distinct-1 before a
+    digit would take the radix to 2**63 (exactness: `_histogram_classes`).
+    Needs rows * kinds < 2**63.
+    """
+    key, radix = np.int64(0), 1
+    for digit in digits:
+        if radix * kinds >= 1 << 63:
+            distinct, key = np.unique(key, return_inverse=True)
+            radix = len(distinct)
+        key = key * kinds + digit
+        radix *= kinds
+    distinct, ranks = np.unique(key, return_inverse=True)
+    return ranks, len(distinct)
+
+
+def _span_points(labels: np.ndarray) -> Iterator[np.ndarray]:
+    """The 16 points y_u = XOR of labels[t] over the bits t of u (u = 0..15)
+    of each column of a (4, rows) role-label array, one 1-D array per u in
+    the labels' dtype, built by doubling: y_(u + 2**t) = y_u XOR labels[t]."""
+    points = [np.zeros(labels.shape[1], dtype=labels.dtype)]
+    yield points[0]
+    for t in range(4):
+        for u in range(1 << t):
+            points.append(points[u] ^ labels[t])
+            yield points[-1]
 
 
 def _histogram_classes(
@@ -318,6 +356,22 @@ def _histogram_classes(
     class ids across a step's designs therefore makes its signature
     classes exactly its histogram classes.
 
+    The key.  A step numbers the distinct rows of F among its designs
+    0..kinds-1 (one `np.unique` over the rows as opaque bytes), gathers
+    each assignment's four role labels with one flat `take`, builds its
+    16 points y_u by XOR doubling in the labels' narrow dtype, and folds
+    the class id at each point into one int64 key as soon as the point is
+    built (`_dense_ranks`): key = key * kinds + id.  After j digits the
+    key is the base-`kinds` code of those j ids, below kinds**j; while
+    kinds**j < 2**63 it neither wraps nor collides, so it is injective on
+    signature prefixes.  Before a digit would take the radix to 2**63 the
+    keys are replaced by their dense ranks 0..d-1 (d distinct keys), which
+    maps equal keys to equal ranks and unequal keys to unequal ones, and
+    the code goes on in radix d kinds.  By induction the final key is
+    injective on whole signatures, so its dense ranks are the signature
+    classes.  Every member of a class has the class's histogram, so the
+    representative is any member: one scatter, reps[classes] = rows.
+
     Designs are walked a step at a time, and each step computes their
     column parities once.  A signature step covers the designs whose
     spectra fit in `_BATCH_ELEMENTS` entries (or one design's N (n+1)); an
@@ -341,7 +395,8 @@ def _histogram_classes(
         start, stop = edges[lo], edges[lo + len(group)]
         local = np.searchsorted(group, design[start:stop])
         roles = index[assignment[start:stop], :4]
-        odd = np.bitwise_count(designs[group].astype(small)[:, :, None] & v) & 1  # (designs, n, N)
+        narrow = designs[group].astype(small)
+        odd = np.bitwise_count(narrow[:, :, None] & v) & 1  # (designs, n, N)
         weight = odd.sum(axis=1, dtype=np.int64)  # w(v), (designs, N)
         classes = np.arange(stop - start)
         if len(index) > 1:
@@ -351,15 +406,13 @@ def _histogram_classes(
                 pair = spectrum.reshape(len(group), -1, 2, half, n + 1)
                 spectrum = np.stack([pair[:, :, 0] + pair[:, :, 1], pair[:, :, 0] - pair[:, :, 1]], axis=2)
                 half *= 2
-            _, ids = np.unique(_opaque_rows(spectrum.reshape(-1, n + 1)), return_inverse=True)
-            ids = ids.reshape(len(group), runs)
-            labels = designs[design[start:stop, None], roles].astype(small)
-            span = np.zeros((stop - start, 1), dtype=small)
-            for t in range(4):  # column u + 2**t is column u XOR b_t
-                span = np.concatenate([span, span ^ labels[:, t : t + 1]], axis=1)
-            # gathered from intp ids (faster than from narrow ones), narrowed for np.unique
-            signature = ids[local[:, None], span].astype(np.min_scalar_type(len(group) * runs))
-            _, reps, classes = np.unique(_opaque_rows(signature), return_index=True, return_inverse=True)
+            # ids[g N + y]: the class of row F[y] of design g's spectrum
+            spectra, ids = np.unique(_opaque_rows(spectrum.reshape(-1, n + 1)), return_inverse=True)
+            labels = narrow.ravel().take(local * n + roles.T)  # (4, rows)
+            base = local * runs
+            classes, distinct = _dense_ranks((ids.take(base + y) for y in _span_points(labels)), len(spectra))
+            reps = np.empty(distinct, dtype=np.intp)
+            reps[classes] = np.arange(len(classes))  # any member of a class has its histogram
             local, roles = local[reps], roles[reps]
         inverse.append(classes + count)
         count += len(local)

@@ -597,6 +597,63 @@ class TestSignatureClasses:
         assert len(hists) == len(np.unique(search._opaque_rows(reference))) == classes
 
 
+class TestDenseRanks:
+    @pytest.mark.parametrize("kinds, reranks", [(1, 0), (2, 0), (100, 1), (2**17, None)])
+    def test_matches_row_unique(self, monkeypatch, kinds, reranks):
+        # 16 digits: radix 1 and 2**16 stay below 2**63; 100**16 passes it
+        # once, after 9 digits; 2**(17 * 16) every few digits.  Each pass
+        # re-ranks with one np.unique, and the final ranking is one more.
+        rng = np.random.default_rng(kinds)
+        protos = rng.integers(0, kinds, size=(40, 16))
+        protos[20:] = protos[:20]
+        protos[np.arange(20, 40), rng.integers(0, 16, 20)] = rng.integers(0, kinds, 20)  # one digit apart
+        rows = protos[rng.integers(0, 40, 600)]
+        calls = []
+        unique = np.unique
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return unique(*args, **kwargs)
+
+        monkeypatch.setattr(np, "unique", counted)
+        ranks, classes = search._dense_ranks((rows[:, j] for j in range(16)), kinds)
+        monkeypatch.undo()
+        distinct, expected = np.unique(rows, axis=0, return_inverse=True)
+        assert np.array_equal(ranks, expected.ravel())
+        assert classes == len(distinct)
+        if reranks is None:
+            assert len(calls) - 1 >= 2
+        else:
+            assert len(calls) - 1 == reranks
+
+
+class TestRoleTwists:
+    """K is invariant under the role twists b1 -> b1^b2 and b3 -> b3^b4 and
+    under the pair swap; a twist of an admissible design stays admissible."""
+
+    @staticmethod
+    def maps(columns):
+        b1, b2, b3, b4, *tail = columns
+        yield (b1 ^ b2, b2, b3, b4, *tail)
+        yield (b1, b2, b3 ^ b4, b4, *tail)
+        yield (b1 ^ b2, b2, b3 ^ b4, b4, *tail)
+        yield pair_swap(columns)
+
+    @pytest.mark.parametrize("r, sizes", [(4, range(5, 13)), (5, range(5, 17, 2)), (6, range(6, 19, 3))])
+    def test_k_unchanged(self, r, sizes):
+        rng = random.Random(100 + r)
+        for n in sizes:
+            for _ in range(5):
+                spec = random_admissible_spec(rng, r, n)
+                counts, fast = k_from_counts(spec), k_sequence_fast(expand(spec))
+                assert counts == fast
+                for columns in self.maps(spec.columns):
+                    image = RegularSpec(r, columns)
+                    assert check_conditions_regular(image).ok
+                    assert k_from_counts(image) == counts
+                    assert k_sequence_fast(expand(image)) == fast
+
+
 def k_digest(values):
     return hashlib.sha256(",".join(map(str, values)).encode()).hexdigest()[:16]
 

@@ -111,14 +111,15 @@ def tasks() -> list[dict]:
         with contextlib.redirect_stdout(io.StringIO()):
             return cli.main(["fixtures", "--verify", "--runs", str(runs)])
 
-    row16 = next(row for row in fixtures(32) if row.n == 16)
+    own = {row.n: row.columns for row in fixtures(32) if row.n in (13, 16)}
     calls = {
         "search_16_n9_exhaustive": lambda: search_ma(SearchTask(16, 9)),
         "search_32_n9_catalog": lambda: search_ma(SearchTask(32, 9, mode="catalog")),
         "search_32_n10_catalog": lambda: search_ma(SearchTask(32, 10, mode="catalog")),
         "search_32_n10_exhaustive": lambda: search_ma(SearchTask(32, 10)),
         "search_32_n12_catalog_2_workers": lambda: search_ma(SearchTask(32, 12, mode="catalog", workers=2)),
-        "within_columns_32_n16": lambda: search_within_columns(32, row16.columns),
+        "within_columns_32_n13": lambda: search_within_columns(32, own[13]),
+        "within_columns_32_n16": lambda: search_within_columns(32, own[16]),
         "fixtures_verify_16": lambda: fixtures_verify(16),
         "fixtures_verify_32": lambda: fixtures_verify(32),
     }
